@@ -14,7 +14,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.statistics import TableStats, compute_table_stats
 from repro.core.errors import CatalogError, StorageError
-from repro.core.types import Row, Schema
+from repro.core.types import Row, Schema, validate_row
 from repro.index.btree import BPlusTree
 from repro.index.hashindex import HashIndex
 from repro.storage.buffer import BufferPool
@@ -81,21 +81,19 @@ class TableInfo:
         self._write_version += 1
         self._scan_cache = None
 
-    def insert(self, row: Sequence[Any]) -> Any:
-        """Insert a row; returns its rid and maintains all indexes."""
+    def insert(self, row: Sequence[Any]) -> Tuple[Any, Row]:
+        """Insert a row, maintaining indexes; returns ``(rid, stored)``.
+
+        ``stored`` is the validated tuple, so callers log it without a read-back."""
+        stored = validate_row(self.schema, row)
         with self._lock:
             self._note_write()
-            if self.heap is not None:
-                rid = self.heap.insert(row)
-                stored = self.heap.get(rid)
-            else:
-                rid = self.column_table.append(row)
-                stored = self.column_table.get(rid)
+            rid = self.storage.store(stored)
             for info in self.indexes.values():
                 key = stored[self.schema.index_of(info.column)]
                 if key is not None:  # NULL keys are not indexed
                     info.structure.insert(key, rid)
-            return rid
+            return rid, stored
 
     def delete(self, rid: Any) -> Row:
         """Delete by rid; returns the removed row."""
@@ -104,10 +102,7 @@ class TableInfo:
             if row is None:
                 raise StorageError(f"rid {rid} not found in {self.name!r}")
             self._note_write()
-            if self.heap is not None:
-                self.heap.delete(rid)
-            else:
-                self.column_table.delete(rid)
+            self.storage.delete(rid)
             for info in self.indexes.values():
                 key = row[self.schema.index_of(info.column)]
                 if key is not None:
@@ -121,13 +116,8 @@ class TableInfo:
             if old is None:
                 raise StorageError(f"rid {rid} not found in {self.name!r}")
             self._note_write()
-            if self.heap is not None:
-                new_rid = self.heap.update(rid, row)
-                stored = self.heap.get(new_rid)
-            else:
-                self.column_table.update(rid, row)
-                new_rid = rid
-                stored = self.column_table.get(rid)
+            new_rid = self.storage.update(rid, row)
+            stored = self.storage.get(new_rid)
             for info in self.indexes.values():
                 idx = self.schema.index_of(info.column)
                 old_key, new_key = old[idx], stored[idx]
@@ -139,21 +129,24 @@ class TableInfo:
             return new_rid
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[Any]:
-        return [self.insert(row) for row in rows]
+        return [self.insert(row)[0] for row in rows]
 
     # -- reads --------------------------------------------------------------------
 
+    @property
+    def storage(self):
+        """The layout's store: the :class:`HeapFile` or the :class:`ColumnTable`."""
+        return self.heap if self.heap is not None else self.column_table
+
     def get(self, rid: Any) -> Optional[Row]:
-        if self.heap is not None:
-            return self.heap.get(rid)
-        return self.column_table.get(rid)
+        return self.storage.get(rid)
 
     def scan(self) -> Iterator[Tuple[Any, Row]]:
         cache = self._scan_cache
         if cache is not None:
             yield from cache
             return
-        source = self.heap.scan() if self.heap is not None else self.column_table.scan()
+        source = self.storage.scan()
         if self.row_count > SCAN_CACHE_MAX_ROWS:
             yield from source
             return
@@ -183,9 +176,7 @@ class TableInfo:
         ``read(spec) -> (columns, n)`` — the storage contract the parallel
         executor (:mod:`repro.exec.parallel`) fans out over worker threads.
         """
-        if self.heap is not None:
-            return self.heap.morsel_source(morsel_size)
-        return self.column_table.morsel_source(morsel_size)
+        return self.storage.morsel_source(morsel_size)
 
     def scan_rows(self) -> Iterator[Row]:
         for _, row in self.scan():
@@ -193,14 +184,10 @@ class TableInfo:
 
     @property
     def row_count(self) -> int:
-        if self.heap is not None:
-            return self.heap.row_count
-        return self.column_table.row_count
+        return self.storage.row_count
 
     def stats_snapshot(self):
-        if self.heap is not None:
-            return self.heap.stats_snapshot()
-        return self.column_table.stats_snapshot()
+        return self.storage.stats_snapshot()
 
     # -- indexes ----------------------------------------------------------------------
 

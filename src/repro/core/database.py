@@ -386,7 +386,7 @@ class Database:
             return table
 
     def insert_rows(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert Python tuples (fast path used by workload loaders).
+        """Insert Python tuples as one statement (SQL INSERT runs through here).
 
         The whole batch commits as one transaction: one WAL flush instead
         of one per row."""
@@ -395,8 +395,8 @@ class Database:
             count = 0
             with self._statement_scope():
                 for row in rows:
-                    rid = table.insert(row)
-                    self._log_write(table.name, "insert", rid, None)
+                    rid, stored = table.insert(row)
+                    self._log_write(table.name, "insert", rid, None, stored)
                     count += 1
             return count
 
@@ -418,36 +418,39 @@ class Database:
             if self._closed:
                 return
             self._closed = True
-            if self._active_txn is not None:
-                self._rollback()
-            self.pool.flush_all()
-            if self.path and hasattr(self.disk, "sync"):
-                self.disk.sync()
-            if self.path and self._wal_enabled:
-                self.checkpoint()
-            if self.path:
-                from repro.catalog.persistence import save_catalog
+            try:
+                if self._active_txn is not None:
+                    self._rollback()
+                self.pool.flush_all()
+                if self.path and hasattr(self.disk, "sync"):
+                    self.disk.sync()
+                if self.path and self._wal_enabled:
+                    self.checkpoint()
+                if self.path:
+                    from repro.catalog.persistence import save_catalog
 
-                save_catalog(
-                    self.catalog,
-                    self.path,
-                    clean=True,
-                    shutdown_lsn=self.wal.last_lsn,
-                )
-            self.wal.flush(fsync=self.durability == "fsync")
-            self.wal.close()
-            self.disk.close()
-            # Release cached plans/results/decoded rows: cached physical
-            # plans pin index state and row snapshots, and a long-lived
-            # process that opens thousands of Databases (the server's
-            # open/close-per-session tests do exactly this) must not
-            # accumulate them after close.
-            if self.plan_cache is not None:
-                self.plan_cache.invalidate_all()
-            if self.result_cache is not None:
-                self.result_cache.clear()
-            for name in self.catalog.table_names():
-                self.catalog.get_table(name).release_caches()
+                    save_catalog(
+                        self.catalog,
+                        self.path,
+                        clean=True,
+                        shutdown_lsn=self.wal.last_lsn,
+                    )
+                self.wal.flush(fsync=self.durability == "fsync")
+            finally:
+                # A failed step (e.g. an unpersistable column table) must not leak handles.
+                self.wal.close()
+                self.disk.close()
+                # Release cached plans/results/decoded rows: cached physical
+                # plans pin index state and row snapshots, and a long-lived
+                # process that opens thousands of Databases (the server's
+                # open/close-per-session tests do exactly this) must not
+                # accumulate them after close.
+                if self.plan_cache is not None:
+                    self.plan_cache.invalidate_all()
+                if self.result_cache is not None:
+                    self.result_cache.clear()
+                for name in self.catalog.table_names():
+                    self.catalog.get_table(name).release_caches()
 
     @property
     def closed(self) -> bool:
@@ -654,12 +657,7 @@ class Database:
 
     def _execute_insert(self, statement: ast.InsertStmt) -> Result:
         rows = self._binder.bind_insert_rows(statement)
-        table = self.catalog.get_table(statement.table)
-        with self._statement_scope():
-            for row in rows:
-                rid = table.insert(row)
-                self._log_write(table.name, "insert", rid, None)
-        return Result(rowcount=len(rows))
+        return Result(rowcount=self.insert_rows(statement.table, rows))
 
     @staticmethod
     def _equality_candidates(table: TableInfo, where: ast.Expr):
@@ -860,7 +858,7 @@ class Database:
             if op == "insert":
                 table.delete(remap.get(rid, rid))
             elif op == "delete":
-                remap[rid] = table.insert(before)
+                remap[rid] = table.insert(before)[0]
             elif op == "update":
                 old_rid, new_rid = rid
                 target = remap.get(new_rid, new_rid)
@@ -992,8 +990,7 @@ class Database:
         for spec in state.tables.values():
             schema = _schema_from_json(json.loads(spec.schema_json))
             table = self.catalog.create_table(spec.name, schema, layout=spec.layout)
-            for rid in sorted(spec.rows):
-                table.insert(spec.rows[rid])
+            table.insert_many([spec.rows[rid] for rid in sorted(spec.rows)])
             for index_name, column, kind, unique in spec.indexes:
                 self.catalog.create_index(
                     index_name, spec.name, column, kind=kind, unique=unique
@@ -1025,10 +1022,8 @@ class Database:
                     f"WAL references table {table_name!r}; recreate its schema "
                     "before calling restore_from_wal"
                 )
-            table = self.catalog.get_table(table_name)
             rows = [images[rid] for rid in sorted(images)]
-            for row in rows:
-                table.insert(row)
+            self.catalog.get_table(table_name).insert_many(rows)
             restored[table_name] = len(rows)
         # Replay rewrote table contents underneath any cached results/plans.
         if restored:
@@ -1039,10 +1034,11 @@ class Database:
         return restored
 
     def _log_write(
-        self, table_name: str, op: str, rid: Any, before: Optional[Row]
+        self, table_name: str, op: str, rid: Any, before: Optional[Row], after: Optional[Row] = None
     ) -> None:
         """Record one row write: undo entry + WAL redo record(s).
 
+        An insert logs ``after`` (the tuple :meth:`TableInfo.insert` stored).
         Every DML path runs inside :meth:`_statement_scope`, so a
         transaction is always active here.  The WAL side is logical redo
         keyed by rid; an update that *moved* its row (grew past the old
@@ -1064,7 +1060,6 @@ class Database:
             return
         txn = self._active_txn
         if op == "insert":
-            after = self.catalog.get_table(table_name).get(rid)
             self.wal.append(
                 txn,
                 LogRecordType.INSERT,

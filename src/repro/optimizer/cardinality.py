@@ -104,17 +104,7 @@ class Estimator:
         if isinstance(plan, logical.Project):
             return self.estimate(plan.child)
         if isinstance(plan, logical.Join):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
-            if plan.kind == logical.CROSS or plan.condition is None:
-                rows = left * right
-            else:
-                origins = self.origins(plan.left) + self.origins(plan.right)
-                sel = self.selectivity(plan.condition, origins)
-                rows = left * right * sel
-            if plan.kind == logical.LEFT_OUTER:
-                rows = max(rows, left)
-            return rows
+            return self.join_rows(plan, self.estimate(plan.left), self.estimate(plan.right))
         if isinstance(plan, logical.Aggregate):
             child_rows = self.estimate(plan.child)
             if not plan.group_exprs:
@@ -143,6 +133,17 @@ class Estimator:
                 return min(left, right) * 0.5
             return left * 0.5  # except
         return 1000.0
+
+    def join_rows(self, plan: logical.Join, left: float, right: float) -> float:
+        """Rows out of ``plan`` given its inputs' estimates (reused, not re-derived)."""
+        if plan.kind == logical.CROSS or plan.condition is None:
+            rows = left * right
+        else:
+            origins = self.origins(plan.left) + self.origins(plan.right)
+            rows = left * right * self.selectivity(plan.condition, origins)
+        if plan.kind == logical.LEFT_OUTER:
+            rows = max(rows, left)
+        return rows
 
     def _group_ndv(self, expr: BoundExpr, origins: List[Origin], rows: float) -> float:
         if isinstance(expr, BoundColumn):

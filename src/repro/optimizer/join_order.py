@@ -185,7 +185,7 @@ def _join_candidates(
         condition = conjoin(parts)
     kind = logical.INNER if condition is not None else logical.CROSS
     joined = logical.Join(left.plan, right.plan, kind, condition)
-    rows = estimator.estimate(joined)
+    rows = estimator.join_rows(joined, left.rows, right.rows)
     cost = left.cost + right.cost + rows
     return _Candidate(joined, order, cost, rows)
 

@@ -162,19 +162,23 @@ class PhysicalPlanner:
         self, table: TableInfo, scan: logical.Scan, predicate: BoundExpr
     ) -> Optional[_IndexChoice]:
         conjuncts = list(split_conjuncts(predicate))
+        candidates = [
+            (conjunct, candidate)
+            for pos, conjunct in enumerate(conjuncts)
+            if (candidate := self._match_index_conjunct(table, conjunct, pos)) is not None
+        ]
+        if not candidates:
+            # No index matches: skip the storage stats and cost model.
+            return None
         table_rows = float(max(table.row_count, 1))
-        snapshot = table.stats_snapshot()
-        pages = max(snapshot.page_count, 1)
+        pages = max(table.stats_snapshot().page_count, 1)
         seq_cost = self.cost.seq_scan(pages, table_rows) + self.cost.filter(
             table_rows, len(conjuncts)
         )
         best: Optional[_IndexChoice] = None
         best_cost = seq_cost
         origins = self.estimator.origins(scan)
-        for pos, conjunct in enumerate(conjuncts):
-            candidate = self._match_index_conjunct(table, conjunct, pos)
-            if candidate is None:
-                continue
+        for conjunct, candidate in candidates:
             sel = self.estimator.selectivity(conjunct, origins)
             matching = table_rows * sel
             candidate.estimated_rows = matching

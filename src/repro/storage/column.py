@@ -27,17 +27,24 @@ class ColumnTable:
         self.name = name
         self._columns: List[List[Any]] = [[] for _ in schema]
         self._deleted: set = set()
+        self._byte_count = 0
+        self._dtypes = [spec.dtype for spec in schema]
         self._lock = threading.RLock()
         self._array_cache: dict = {}
 
     # -- writes -----------------------------------------------------------
 
     def append(self, row: Sequence[Any]) -> int:
-        """Append a validated row; returns its row index."""
-        stored = validate_row(self.schema, row)
+        """Validate and append a row; returns its row index."""
+        return self.store(validate_row(self.schema, row))
+
+    def store(self, stored: Row) -> int:
+        """Append a row :func:`validate_row` already returned; returns its index."""
+        size = self._row_bytes(stored)
         with self._lock:
             for col_list, value in zip(self._columns, stored):
                 col_list.append(value)
+            self._byte_count += size
             self._array_cache.clear()
             return len(self._columns[0]) - 1
 
@@ -51,18 +58,22 @@ class ColumnTable:
             if index in self._deleted:
                 raise StorageError(f"row {index} already deleted")
             self._deleted.add(index)
+            self._byte_count -= self._row_bytes([col[index] for col in self._columns])
             self._array_cache.clear()
 
-    def update(self, index: int, row: Sequence[Any]) -> None:
-        """Overwrite a row in place."""
+    def update(self, index: int, row: Sequence[Any]) -> int:
+        """Overwrite a row in place; returns its index, which never moves."""
         stored = validate_row(self.schema, row)
         with self._lock:
             self._check_index(index)
             if index in self._deleted:
                 raise StorageError(f"row {index} is deleted")
+            self._byte_count -= self._row_bytes([col[index] for col in self._columns])
             for col_list, value in zip(self._columns, stored):
                 col_list[index] = value
+            self._byte_count += self._row_bytes(stored)
             self._array_cache.clear()
+            return index
 
     # -- reads ---------------------------------------------------------------
 
@@ -203,27 +214,29 @@ class ColumnTable:
             return total - len(self._deleted)
 
     def stats_snapshot(self) -> TableStatsSnapshot:
-        # Byte accounting approximates the heap encoding so cost models see
-        # comparable sizes across layouts.
-        approx_bytes = 0
+        """Row, byte and page counts kept on every write: O(1), no scan."""
         with self._lock:
-            for col, spec in zip(self._columns, self.schema):
-                for i, v in enumerate(col):
-                    if i in self._deleted or v is None:
-                        continue
-                    if spec.dtype is DataType.TEXT:
-                        approx_bytes += 5 + len(v)
-                    elif spec.dtype is DataType.VECTOR:
-                        approx_bytes += 5 + 8 * len(v)
-                    else:
-                        approx_bytes += 9
-        return TableStatsSnapshot(
-            row_count=self.row_count,
-            byte_count=approx_bytes,
-            page_count=max(1, approx_bytes // 8192 + 1),
-        )
+            return TableStatsSnapshot(
+                row_count=self.row_count,
+                byte_count=self._byte_count,
+                page_count=max(1, self._byte_count // 8192 + 1),
+            )
 
     # -- internals -------------------------------------------------------------
+
+    def _row_bytes(self, row: Sequence[Any]) -> int:
+        # ~ the heap's encoded size, comparable across layouts: TEXT 5+len, VECTOR 5+8*len, else 9.
+        size = 0
+        for value, dtype in zip(row, self._dtypes):
+            if value is None:
+                continue
+            if dtype is DataType.TEXT:
+                size += 5 + len(value)
+            elif dtype is DataType.VECTOR:
+                size += 5 + 8 * len(value)
+            else:
+                size += 9
+        return size
 
     def _check_index(self, index: int) -> None:
         total = len(self._columns[0]) if self._columns else 0

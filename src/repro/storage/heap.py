@@ -60,7 +60,10 @@ class HeapFile:
 
     def insert(self, row: Sequence[Any]) -> RecordId:
         """Validate, encode, and store a row; returns its record id."""
-        stored = validate_row(self.schema, row)
+        return self.store(validate_row(self.schema, row))
+
+    def store(self, stored: Row) -> RecordId:
+        """Encode and store a row :func:`validate_row` already returned."""
         payload = self.codec.encode(stored)
         if len(payload) > MAX_RECORD_SIZE:
             raise StorageError(
@@ -98,10 +101,6 @@ class HeapFile:
             return RecordId(page.page_id, slot)
         finally:
             self.pool.unpin(page.page_id, dirty=True)
-
-    def insert_many(self, rows: Sequence[Sequence[Any]]) -> list:
-        """Bulk insert; returns record ids in order."""
-        return [self.insert(row) for row in rows]
 
     def delete(self, rid: RecordId) -> None:
         """Tombstone a record.  Raises for addresses outside this heap."""

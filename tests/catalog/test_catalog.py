@@ -63,7 +63,7 @@ class TestTableLifecycle:
 class TestTableOps:
     def test_crud_round_trip(self, catalog, layout):
         table = catalog.create_table("t", SCHEMA, layout=layout)
-        rid = table.insert((1, "a", 0.5))
+        rid, _ = table.insert((1, "a", 0.5))
         assert table.get(rid) == (1, "a", 0.5)
         new_rid = table.update(rid, (1, "b", 0.9))
         assert table.get(new_rid) == (1, "b", 0.9)
@@ -71,9 +71,35 @@ class TestTableOps:
         assert removed == (1, "b", 0.9)
         assert table.row_count == 0
 
+    def test_insert_never_reads_the_row_back(self, layout, monkeypatch):
+        from repro.core.database import Database
+        from repro.storage.column import ColumnTable
+        from repro.storage.heap import HeapFile
+        from repro.storage.wal import LogRecordType
+
+        def no_get(self, rid):
+            raise AssertionError("insert read its row back")
+
+        db = Database(default_layout=layout)
+        db.execute("CREATE TABLE t (id INTEGER NOT NULL, name TEXT, score FLOAT)")
+        monkeypatch.setattr(HeapFile, "get", no_get)
+        monkeypatch.setattr(ColumnTable, "get", no_get)
+        __, stored = db.table("t").insert((1, "a", 2))
+        assert stored == (1, "a", 2.0)
+        db.insert_rows("t", [(2, "b", 3)])
+        db.execute("INSERT INTO t VALUES (3, NULL, 4)")
+        monkeypatch.undo()
+        afters = [r.after for r in db.wal.records() if r.type is LogRecordType.INSERT]
+        assert afters == [(2, "b", 3.0), (3, None, 4.0)]
+        assert sorted(db.execute("SELECT * FROM t").rows) == [
+            (1, "a", 2.0),
+            (2, "b", 3.0),
+            (3, None, 4.0),
+        ]
+
     def test_delete_missing_rid(self, catalog, layout):
         table = catalog.create_table("t", SCHEMA, layout=layout)
-        rid = table.insert((1, "a", 0.5))
+        rid, _ = table.insert((1, "a", 0.5))
         table.delete(rid)
         with pytest.raises(StorageError):
             table.delete(rid)
@@ -94,20 +120,20 @@ class TestIndexMaintenance:
     def test_insert_updates_index(self, catalog):
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "id")
-        rid = table.insert((42, "x", 1.0))
+        rid, _ = table.insert((42, "x", 1.0))
         assert info.structure.search(42) == [rid]
 
     def test_delete_updates_index(self, catalog):
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "id")
-        rid = table.insert((42, "x", 1.0))
+        rid, _ = table.insert((42, "x", 1.0))
         table.delete(rid)
         assert info.structure.search(42) == []
 
     def test_update_moves_index_entry(self, catalog):
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "id")
-        rid = table.insert((1, "x", 1.0))
+        rid, _ = table.insert((1, "x", 1.0))
         new_rid = table.update(rid, (2, "x", 1.0))
         assert info.structure.search(1) == []
         assert info.structure.search(2) == [new_rid]
@@ -115,7 +141,7 @@ class TestIndexMaintenance:
     def test_null_keys_skipped_everywhere(self, catalog):
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "score")
-        rid = table.insert((1, "x", None))
+        rid, _ = table.insert((1, "x", None))
         assert len(info.structure) == 0
         table.update(rid, (1, "x", 2.0))
         assert info.structure.search(2.0) == [rid]
@@ -136,7 +162,7 @@ class TestIndexMaintenance:
     def test_hash_index_kind(self, catalog):
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "name", kind="hash")
-        rid = table.insert((1, "bob", 1.0))
+        rid, _ = table.insert((1, "bob", 1.0))
         assert info.structure.search("bob") == [rid]
         assert not info.supports_range()
 

@@ -7,6 +7,7 @@ import pytest
 from repro.catalog.persistence import load_catalog, metadata_path, save_catalog
 from repro.core.database import Database
 from repro.core.errors import CatalogError
+from repro.core.types import Column, DataType, Schema
 
 
 @pytest.fixture
@@ -129,3 +130,14 @@ class TestMetadataFile:
         db.execute("CREATE TABLE t (a INTEGER)")
         with pytest.raises(CatalogError, match="column layout"):
             db.close()
+
+    def test_failed_close_still_releases_handles(self, db_path):
+        db = Database(path=db_path)
+        db.execute("CREATE TABLE r (a INTEGER)")
+        db.create_table("c", Schema([Column("x", DataType.INTEGER)]), layout="column")
+        with pytest.raises(CatalogError, match="column layout"):
+            db.close()
+        assert db.closed
+        assert db.wal._file.closed
+        assert db.disk._file.closed
+        db.close()  # a second close is a no-op, not a second error

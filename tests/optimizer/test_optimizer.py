@@ -261,6 +261,20 @@ class TestPhysicalChoices:
         rows = db3.execute("SELECT id FROM big WHERE id < 5 ORDER BY id").rows
         assert rows == [(i,) for i in range(5)]
 
+    def test_unindexed_filters_never_read_storage_stats(self, db3, monkeypatch):
+        from repro.catalog.catalog import TableInfo
+
+        snapshots = []
+        real = TableInfo.stats_snapshot
+        monkeypatch.setattr(
+            TableInfo, "stats_snapshot", lambda self: snapshots.append(self.name) or real(self)
+        )
+        _plan_for(db3, "SELECT payload FROM big WHERE id = 77 AND small_id < 3")
+        assert snapshots == []
+        db3.execute("CREATE INDEX idx_big_small ON big (small_id)")
+        _plan_for(db3, "SELECT payload FROM big WHERE id = 77 AND small_id < 3")
+        assert snapshots == ["big"]
+
     def test_index_ignored_for_unselective_range(self, db3):
         db3.execute("CREATE INDEX idx_big_id3 ON big (id)")
         db3.analyze()

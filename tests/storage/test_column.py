@@ -1,5 +1,7 @@
 """Tests for columnar storage (repro.storage.column)."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,108 @@ class TestBatches:
         snap = table.stats_snapshot()
         assert snap.row_count == 2
         assert snap.byte_count > 0
+
+
+def _walk_bytes(table):
+    """The original full-table recount the byte counter replaced."""
+    total = 0
+    for row in table.scan_rows():
+        for value, spec in zip(row, table.schema):
+            if value is None:
+                continue
+            if spec.dtype is DataType.TEXT:
+                total += 5 + len(value)
+            elif spec.dtype is DataType.VECTOR:
+                total += 5 + 8 * len(value)
+            else:
+                total += 9
+    return total
+
+
+def _mixed_table():
+    return ColumnTable(
+        Schema(
+            [
+                Column("id", DataType.INTEGER, nullable=False),
+                Column("name", DataType.TEXT),
+                Column("score", DataType.FLOAT),
+                Column("flag", DataType.BOOLEAN),
+                Column("emb", DataType.VECTOR),
+            ]
+        ),
+        name="mixed",
+    )
+
+
+def _random_row(rng, key):
+    def maybe(value):
+        return None if rng.random() < 0.3 else value
+
+    return (
+        key,
+        maybe("x" * rng.randrange(0, 12)),
+        maybe(rng.uniform(-5, 5)),
+        maybe(rng.random() < 0.5),
+        maybe([rng.random() for _ in range(rng.randrange(0, 5))]),
+    )
+
+
+class TestIncrementalStats:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counters_match_full_recount(self, seed):
+        rng = random.Random(seed)
+        table = _mixed_table()
+        live, updated = [], set()
+        seen = {"update_to_null": 0, "re_update": 0, "delete_after_update": 0}
+        for step in range(300):
+            op = rng.random()
+            if op < 0.45 or not live:
+                live.append(table.append(_random_row(rng, step)))
+            elif op < 0.8:
+                index = rng.choice(live)
+                row = _random_row(rng, step)
+                if rng.random() < 0.3:
+                    row = (step, None, None, None, None)
+                    seen["update_to_null"] += 1
+                if index in updated:
+                    seen["re_update"] += 1
+                table.update(index, row)
+                updated.add(index)
+            else:
+                index = live.pop(rng.randrange(len(live)))
+                if index in updated:
+                    seen["delete_after_update"] += 1
+                table.delete(index)
+            snap = table.stats_snapshot()
+            assert snap.byte_count == _walk_bytes(table)
+            assert snap.row_count == len(live) == table.row_count
+            assert snap.page_count == max(1, snap.byte_count // 8192 + 1)
+        assert all(seen.values()), seen
+
+    def test_snapshot_does_no_per_row_work(self, monkeypatch):
+        from repro.core.database import Database
+
+        calls, snapshots = [], []
+        real_bytes, real_snapshot = ColumnTable._row_bytes, ColumnTable.stats_snapshot
+        monkeypatch.setattr(
+            ColumnTable, "_row_bytes", lambda self, row: calls.append(1) or real_bytes(self, row)
+        )
+        monkeypatch.setattr(
+            ColumnTable,
+            "stats_snapshot",
+            lambda self: snapshots.append(1) or real_snapshot(self),
+        )
+        db = Database(default_layout="column", engine="vectorized")
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+        db.insert_rows("t", [(i, i % 7) for i in range(500)])
+        db.execute("CREATE INDEX t_id ON t (id)")
+        writes = len(calls)
+        assert writes == 500
+        table = db.table("t").column_table
+        for _ in range(20):
+            table.stats_snapshot()
+        for i in range(20):
+            db.execute(f"SELECT v FROM t WHERE id = {i} AND v < {i}")
+        assert len(snapshots) >= 40  # every planned filter costed the index
+        assert len(calls) == writes
+
