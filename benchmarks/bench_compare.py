@@ -1,12 +1,15 @@
-"""Compiled-vs-interpreted smoke benchmark (≈30 s) → BENCH_compile.json.
+"""Compiled-vs-tree-walk and plan-cache smoke benchmark (≈5 s) → BENCH_compile.json.
 
-Runs a small subset of E1 (TPC-H Q1/Q6) and an E6-style repeated-statement
-workload under two configurations:
+Two legs:
 
-* **interpreted** — expression codegen disabled, plan cache disabled
-  (the pre-codegen engine);
-* **compiled** — expression→closure codegen + plan cache + prepared
-  statements (the defaults after this change).
+* **expressions** — the bound filter predicate and aggregate-argument
+  expressions of TPC-H Q1/Q6, evaluated over the same lineitem rows by the
+  tree-walking reference ``BoundExpr.eval`` and by the compiled closure
+  ``evaluator(expr)`` (the engines' only execution path).  Rows failing
+  the filter skip the aggregate arguments, as in the query.
+* **oltp** — an E6-style repeated point-SELECT workload with the plan
+  cache off (``plan_cache_size=0``, text substitution for parameters) and
+  on (plan cache + prepared statements, the defaults).
 
 Emits ``BENCH_compile.json`` next to this file so future changes have a
 machine-readable perf trajectory.  Run directly::
@@ -24,7 +27,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bench_json import write_report  # noqa: E402
 from repro.core.database import Database  # noqa: E402
-from repro.exec import compile as compile_mod  # noqa: E402
+from repro.exec import physical as phys  # noqa: E402
+from repro.exec.compile import evaluator  # noqa: E402
+from repro.optimizer.optimizer import Optimizer  # noqa: E402
+from repro.sql.parser import parse  # noqa: E402
 from repro.workloads.tpch import load_tpch, tpch_query  # noqa: E402
 
 TPCH_SCALE = 0.1
@@ -43,27 +49,46 @@ def best_of(fn, rounds: int) -> float:
     return best
 
 
-def bench_tpch(codegen: bool) -> dict:
-    """Best-of-N latency for each TPC-H query under one configuration."""
-    compile_mod.set_enabled(codegen)
-    try:
-        db = Database(plan_cache_size=128 if codegen else 0)
-        load_tpch(db, scale_factor=TPCH_SCALE, seed=7)
-        out = {}
-        for name in TPCH_QUERIES:
-            sql = tpch_query(name)
-            rows = {}
+def filter_and_agg_args(db: Database, sql: str):
+    """The bound predicate and aggregate arguments of an
+    ``Aggregate(Filter(SeqScan))`` plan, all over the scanned table's rows."""
+    logical = db._binder.bind_query(parse(sql))
+    _, plan = Optimizer(db.catalog, db.cost_model, db.optimizer_options).optimize(logical)
+    while not isinstance(plan, phys.PAggregate):
+        plan = plan.child
+    assert isinstance(plan.child, phys.PFilter)
+    assert isinstance(plan.child.child, phys.PSeqScan)
+    args = [spec.arg for spec in plan.aggregates if spec.arg is not None]
+    return plan.child.child.table, plan.child.predicate, args
 
-            def run():
-                rows["result"] = db.execute(sql).rows
 
-            out[name] = {
-                "best_ms": best_of(run, TPCH_ROUNDS) * 1e3,
-                "rows": len(rows["result"]),
-            }
-        return out
-    finally:
-        compile_mod.set_enabled(True)
+def bench_expressions() -> dict:
+    """Best-of-N time to evaluate each query's expressions, both ways."""
+    db = Database()
+    load_tpch(db, scale_factor=TPCH_SCALE, seed=7)
+    out = {}
+    for name in TPCH_QUERIES:
+        table, predicate, args = filter_and_agg_args(db, tpch_query(name))
+        rows = list(db.table(table).scan_rows())
+
+        def run(pred, arg_fns):
+            for row in rows:
+                if pred(row) is True:
+                    for fn in arg_fns:
+                        fn(row)
+
+        tree_walk = best_of(lambda: run(predicate.eval, [a.eval for a in args]), TPCH_ROUNDS)
+        compiled = best_of(
+            lambda: run(evaluator(predicate), [evaluator(a) for a in args]), TPCH_ROUNDS
+        )
+        out[name] = {
+            "rows": len(rows),
+            "expressions": 1 + len(args),
+            "tree_walk_ms": round(tree_walk * 1e3, 2),
+            "compiled_ms": round(compiled * 1e3, 2),
+            "speedup": round(tree_walk / compiled, 2),
+        }
+    return out
 
 
 def make_oltp_db(plan_cache: bool) -> Database:
@@ -78,72 +103,57 @@ def make_oltp_db(plan_cache: bool) -> Database:
     return db
 
 
-def bench_oltp(codegen: bool) -> dict:
+def bench_oltp(plan_cache: bool) -> dict:
     """Repeated point-SELECT throughput (statements/second)."""
-    compile_mod.set_enabled(codegen)
-    try:
-        db = make_oltp_db(plan_cache=codegen)
-        out = {}
+    db = make_oltp_db(plan_cache)
+    out = {}
 
-        # Identical statement text re-executed: the plan-cache sweet spot.
-        sql = f"SELECT owner, balance FROM accounts WHERE id = {OLTP_ROWS // 2}"
-        t0 = time.perf_counter()
-        for _ in range(OLTP_STATEMENTS):
-            db.execute(sql)
-        out["repeated_statement_tps"] = OLTP_STATEMENTS / (time.perf_counter() - t0)
+    # Identical statement text re-executed: the plan-cache sweet spot.
+    sql = f"SELECT owner, balance FROM accounts WHERE id = {OLTP_ROWS // 2}"
+    t0 = time.perf_counter()
+    for _ in range(OLTP_STATEMENTS):
+        db.execute(sql)
+    out["repeated_statement_tps"] = OLTP_STATEMENTS / (time.perf_counter() - t0)
 
-        # Parameterized workload: prepared statements vs text substitution.
-        if codegen:
-            stmt = db.prepare("SELECT owner, balance FROM accounts WHERE id = ?")
-            t0 = time.perf_counter()
-            for i in range(OLTP_STATEMENTS):
-                stmt.execute(((i * 37) % OLTP_ROWS,))
-            out["parameterized_tps"] = OLTP_STATEMENTS / (time.perf_counter() - t0)
-        else:
-            sql = "SELECT owner, balance FROM accounts WHERE id = ?"
-            t0 = time.perf_counter()
-            for i in range(OLTP_STATEMENTS):
-                db.execute(sql, params=((i * 37) % OLTP_ROWS,))
-            out["parameterized_tps"] = OLTP_STATEMENTS / (time.perf_counter() - t0)
-        return out
-    finally:
-        compile_mod.set_enabled(True)
+    # Parameterized workload: prepared statements vs text substitution.
+    sql = "SELECT owner, balance FROM accounts WHERE id = ?"
+    t0 = time.perf_counter()
+    if plan_cache:
+        stmt = db.prepare(sql)
+        for i in range(OLTP_STATEMENTS):
+            stmt.execute(((i * 37) % OLTP_ROWS,))
+    else:
+        for i in range(OLTP_STATEMENTS):
+            db.execute(sql, params=((i * 37) % OLTP_ROWS,))
+    out["parameterized_tps"] = OLTP_STATEMENTS / (time.perf_counter() - t0)
+    return out
 
 
 def main() -> int:
     started = time.time()
     report = {
         "scale_factor": TPCH_SCALE,
-        "tpch": {},
+        "expressions": bench_expressions(),
         "oltp": {},
         "speedups": {},
     }
+    for name, entry in report["expressions"].items():
+        report["speedups"][f"expr_{name}"] = entry["speedup"]
 
-    interpreted = bench_tpch(codegen=False)
-    compiled = bench_tpch(codegen=True)
-    for name in TPCH_QUERIES:
-        speedup = interpreted[name]["best_ms"] / compiled[name]["best_ms"]
-        report["tpch"][name] = {
-            "interpreted_ms": round(interpreted[name]["best_ms"], 2),
-            "compiled_ms": round(compiled[name]["best_ms"], 2),
-            "speedup": round(speedup, 2),
-        }
-        report["speedups"][f"tpch_{name}"] = round(speedup, 2)
-
-    oltp_before = bench_oltp(codegen=False)
-    oltp_after = bench_oltp(codegen=True)
+    uncached = bench_oltp(plan_cache=False)
+    cached = bench_oltp(plan_cache=True)
     for key in ("repeated_statement_tps", "parameterized_tps"):
-        speedup = oltp_after[key] / oltp_before[key]
+        speedup = cached[key] / uncached[key]
         report["oltp"][key] = {
-            "interpreted": round(oltp_before[key], 1),
-            "compiled": round(oltp_after[key], 1),
+            "plan_cache_off": round(uncached[key], 1),
+            "plan_cache_on": round(cached[key], 1),
             "speedup": round(speedup, 2),
         }
         report["speedups"][f"oltp_{key}"] = round(speedup, 2)
 
     report["elapsed_s"] = round(time.time() - started, 1)
     out_path = write_report("compile", report)
-    ok = all(s >= 1.5 for k, s in report["speedups"].items() if k.startswith("tpch_"))
+    ok = all(s >= 1.5 for k, s in report["speedups"].items() if k.startswith("expr_"))
     ok &= report["speedups"]["oltp_repeated_statement_tps"] >= 2.0
     print(f"\nwrote {out_path}; targets {'MET' if ok else 'NOT MET'}")
     return 0 if ok else 1

@@ -109,15 +109,16 @@ class TableInfo:
                     info.structure.delete(key, rid)
             return row
 
-    def update(self, rid: Any, row: Sequence[Any]) -> Any:
-        """Update by rid; returns the (possibly new) rid."""
+    def update(self, rid: Any, row: Sequence[Any]) -> Tuple[Any, Row]:
+        """Update by rid; returns ``(new_rid, stored)``, the (possibly new) rid
+        and the validated tuple, so callers log it without a read-back."""
+        stored = validate_row(self.schema, row)
         with self._lock:
             old = self.get(rid)
             if old is None:
                 raise StorageError(f"rid {rid} not found in {self.name!r}")
             self._note_write()
-            new_rid = self.storage.update(rid, row)
-            stored = self.storage.get(new_rid)
+            new_rid = self.storage.replace(rid, stored)
             for info in self.indexes.values():
                 idx = self.schema.index_of(info.column)
                 old_key, new_key = old[idx], stored[idx]
@@ -126,7 +127,7 @@ class TableInfo:
                         info.structure.delete(old_key, rid)
                     if new_key is not None:
                         info.structure.insert(new_key, new_rid)
-            return new_rid
+            return new_rid, stored
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[Any]:
         return [self.insert(row)[0] for row in rows]

@@ -743,8 +743,8 @@ class Database:
                 new_row = list(row)
                 for idx, value_fn in assignments:
                     new_row[idx] = value_fn(row)
-                new_rid = table.update(rid, tuple(new_row))
-                self._log_write(table.name, "update", (rid, new_rid), row)
+                new_rid, stored = table.update(rid, tuple(new_row))
+                self._log_write(table.name, "update", (rid, new_rid), row, stored)
                 count += 1
         return Result(rowcount=count)
 
@@ -862,7 +862,7 @@ class Database:
             elif op == "update":
                 old_rid, new_rid = rid
                 target = remap.get(new_rid, new_rid)
-                restored = table.update(target, before)
+                restored, _ = table.update(target, before)
                 if restored != old_rid:
                     remap[old_rid] = restored
         if self._wal_enabled:
@@ -1038,7 +1038,8 @@ class Database:
     ) -> None:
         """Record one row write: undo entry + WAL redo record(s).
 
-        An insert logs ``after`` (the tuple :meth:`TableInfo.insert` stored).
+        An insert or update logs ``after``, the tuple :meth:`TableInfo.insert`
+        or :meth:`TableInfo.update` stored.
         Every DML path runs inside :meth:`_statement_scope`, so a
         transaction is always active here.  The WAL side is logical redo
         keyed by rid; an update that *moved* its row (grew past the old
@@ -1077,7 +1078,6 @@ class Database:
             )
         else:  # update: rid is (old_rid, new_rid)
             old_rid, new_rid = rid
-            after = self.catalog.get_table(table_name).get(new_rid)
             if self._wal_rid(old_rid) == self._wal_rid(new_rid):
                 self.wal.append(
                     txn,

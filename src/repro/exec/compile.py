@@ -18,17 +18,15 @@ as the reference implementation for differential testing:
 * errors (division by zero, failing scalar functions) raise the same
   :class:`ExecutionError` at the same points.
 
-Compilation is best-effort: any expression the generator does not
-understand falls back to the interpreted ``eval`` bound method.  The
-``REPRO_COMPILE_EXPRS=0`` environment variable (or :func:`set_enabled`)
-turns the whole subsystem off, which is how the benchmark harness
-measures interpreted-vs-compiled deltas.
+Compiled evaluation is the only execution path: the emitter covers every
+node type the binder produces, and anything else raises
+:class:`CompileError`.  ``BoundExpr.eval`` is kept as the reference that
+the differential tests and constant folding use.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
@@ -52,35 +50,17 @@ __all__ = [
     "compile_expr",
     "compiled_source",
     "evaluator",
-    "is_enabled",
-    "set_enabled",
 ]
 
 _ATTR = "_compiled_fn"
 
-_enabled = os.environ.get("REPRO_COMPILE_EXPRS", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable compiled evaluation (interpreter fallback)."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
-def is_enabled() -> bool:
-    return _enabled
-
 
 class CompileError(Exception):
-    """Raised when an expression cannot be lowered (caller falls back)."""
+    """Raised when an expression contains a node the emitter cannot lower."""
 
 
 def evaluator(expr: Optional[BoundExpr]) -> Optional[Callable[[Sequence[Any]], Any]]:
-    """The row evaluator for an expression: compiled when possible.
+    """The compiled row evaluator for an expression.
 
     Returns ``None`` for ``None`` (optional predicates stay optional at the
     call site).  The compiled function is memoized on the expression
@@ -88,22 +68,16 @@ def evaluator(expr: Optional[BoundExpr]) -> Optional[Callable[[Sequence[Any]], A
     """
     if expr is None:
         return None
-    if not _enabled:
-        return expr.eval
     fn = expr.__dict__.get(_ATTR)
     if fn is None:
-        try:
-            fn = compile_expr(expr)
-        except CompileError:
-            fn = expr.eval
+        fn = compile_expr(expr)
         object.__setattr__(expr, _ATTR, fn)
     return fn
 
 
 def compiled_source(expr: BoundExpr) -> str:
     """The generated Python source for an expression (debugging aid)."""
-    fn = evaluator(expr)
-    return getattr(fn, "__source__", "<interpreted>")
+    return evaluator(expr).__source__
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +401,7 @@ def compile_expr(expr: BoundExpr) -> Callable[[Sequence[Any]], Any]:
     """Lower a bound expression to a single Python function of one row.
 
     Raises :class:`CompileError` when the tree contains a node the
-    generator does not understand; callers fall back to ``expr.eval``.
+    generator does not understand.
     """
     emitter = _Emitter()
     result = emitter.emit(expr)

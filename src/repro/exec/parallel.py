@@ -28,12 +28,8 @@ Design (after Leis et al.'s morsel-driven parallelism, scaled down):
   depends on the fast path.
 
 * **Workers.** ``workers <= 1`` executes tasks inline on the caller (the
-  overhead-measurement configuration).  The default backend is a cached
-  ``ThreadPoolExecutor`` per worker count.  ``REPRO_PROCESS_POOL=1`` opts
-  into a fork-based process pool for pure-Python operator chains that the
-  GIL would serialize; task closures are shipped by fork inheritance (they
-  capture compiled evaluator closures, which do not pickle) and only the
-  results cross the pipe.
+  overhead-measurement configuration); otherwise tasks run on a cached
+  ``ThreadPoolExecutor`` per worker count.
 
 * **Sanitizer.** Under ``REPRO_SANITIZE=1`` every morsel task logs
   BEGIN / READ(table, morsel) / COMMIT to a pool-owned
@@ -49,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -91,11 +86,6 @@ _NUMPY_CMP = {
 }
 
 
-def process_pool_enabled() -> bool:
-    """True when ``REPRO_PROCESS_POOL`` opts into the fork-based backend."""
-    return os.environ.get("REPRO_PROCESS_POOL", "") not in ("", "0")
-
-
 # -- worker pool ----------------------------------------------------------------
 
 _THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -131,38 +121,10 @@ def shutdown_pools() -> None:
         pool.shutdown(wait=True)
 
 
-#: Fork-backend scratch: tasks are published here before the pool forks, so
-#: children inherit them by address space, not pickling.
-_FORK_TASKS: List[Callable[[], Any]] = []
-
-
-def _run_fork_task(index: int) -> Any:
-    return _FORK_TASKS[index]()
-
-
-def _map_fork(tasks: Sequence[Callable[[], Any]], workers: int) -> List[Any]:
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: degrade to threads
-        pool = _thread_pool(workers)
-        return [f.result() for f in [pool.submit(t) for t in tasks]]
-    global _FORK_TASKS
-    _FORK_TASKS = list(tasks)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_run_fork_task, range(len(tasks)))
-    finally:
-        _FORK_TASKS = []
-
-
 def map_ordered(tasks: Sequence[Callable[[], Any]], workers: int) -> List[Any]:
     """Run tasks on the pool; return results in task (= morsel) order."""
     if workers <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
-    if process_pool_enabled():
-        return _map_fork(tasks, workers)
     pool = _thread_pool(workers)
     futures = [pool.submit(task) for task in tasks]
     return [future.result() for future in futures]
@@ -439,11 +401,17 @@ def _numpy_partial(
     Only for non-DISTINCT aggregates over a clean numeric array (no NULLs),
     so every row contributes: count is the group size, SUM/AVG reduce with
     exact dtype-preserving kernels (``np.add.at`` for int64 — ``bincount``
-    would round-trip through float64 and lose >2^53 precision).
+    would round-trip through float64 and lose >2^53 precision) and
+    MIN/MAX start from identities of the array's own dtype.  An int64 SUM
+    that could reach 2^63 (``n·max|v|``) would wrap, so it returns None and
+    the caller sums Python ints instead.
     """
     if spec.distinct:
         return None
     func = spec.func
+    if func in ("SUM", "AVG") and arr.dtype.kind == "i" and arr.size:
+        if max(-int(arr.min()), int(arr.max())) * arr.size >= 1 << 63:
+            return None
     if gids is None:  # single (global) group
         count = int(arr.size)
         state: List[Any] = [count, None, None, None]
@@ -466,14 +434,13 @@ def _numpy_partial(
             if state[0]:
                 state[1] = totals[g].item()
     elif func in ("MIN", "MAX"):
-        if func == "MIN":
-            extremes = np.full(n_groups, np.inf)
-            np.minimum.at(extremes, gids, arr)
-        else:
-            extremes = np.full(n_groups, -np.inf)
-            np.maximum.at(extremes, gids, arr)
         if arr.dtype.kind == "i":
-            extremes = extremes.astype(np.int64)
+            limits = np.iinfo(arr.dtype)
+            identity = limits.max if func == "MIN" else limits.min
+            extremes = np.full(n_groups, identity, dtype=arr.dtype)
+        else:
+            extremes = np.full(n_groups, np.inf if func == "MIN" else -np.inf)
+        (np.minimum if func == "MIN" else np.maximum).at(extremes, gids, arr)
         for g, state in enumerate(states):
             if state[0]:
                 state[2] = extremes[g].item()
@@ -873,7 +840,7 @@ def join_rows(
     engine is driving (keeps this module engine-agnostic and import-cycle
     free).  Partition routing uses :mod:`repro.exec.stablehash`, never the
     ``PYTHONHASHSEED``-randomized builtin, so assignments reproduce across
-    runs and across ``REPRO_PROCESS_POOL=1`` fork workers.
+    runs and processes.
     """
     partitions = max(1, node.partitions)
     right_key_fns = [evaluator(k) for k in node.right_keys]

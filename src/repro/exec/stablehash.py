@@ -3,9 +3,8 @@
 The radix-partitioned join routes build rows and probe rows to partitions
 by hashing join-key values.  Python's builtin ``hash`` cannot do that job:
 string hashing is randomized per process (``PYTHONHASHSEED``), so two
-processes — or the parent and a ``REPRO_PROCESS_POOL=1`` fork worker pool
-started before/after an exec — would disagree on partition assignment, and
-a recorded plan would not reproduce.  This module provides a stable
+processes would disagree on partition assignment, and a recorded plan
+would not reproduce.  This module provides a stable
 replacement with one hard requirement inherited from SQL equality:
 
     ``a == b``  implies  ``stable_hash(a) == stable_hash(b)``

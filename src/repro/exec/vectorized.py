@@ -10,16 +10,15 @@ E8's subject).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.core.errors import ExecutionError
 from repro.core.types import Row
 from repro.exec import parallel
 from repro.exec import physical as phys
-from repro.exec.compile import evaluator
 from repro.exec.vector_eval import Batch, eval_batch, normalize_mask
-from repro.exec.volcano import _Accumulator, sort_rows
+from repro.exec.volcano import ROW_OPERATORS, _index_scan, sort_rows
 
 DEFAULT_BATCH_SIZE = 1024
 
@@ -29,48 +28,43 @@ def execute_vectorized(
 ) -> Iterator[Row]:
     """Run a physical plan with batch execution, yielding result rows."""
     for batch, n in _execute(plan, catalog, batch_size):
-        for i in range(n):
-            yield tuple(col[i] for col in batch)
+        if not batch:  # zero-width rows (SELECT COUNT(*) with no FROM): zip yields none
+            yield from [()] * n
+        else:
+            yield from zip(*batch)
 
 
 def _execute(
     plan: phys.PhysicalPlan, catalog: Catalog, batch_size: int
 ) -> Iterator[Tuple[Batch, int]]:
-    if isinstance(plan, phys.PSeqScan):
+    row_operator = ROW_OPERATORS.get(type(plan))
+    if row_operator is not None:
+        # No batch form: run the shared row operator over the children's rows.
+        rows = row_operator(plan, lambda child: execute_vectorized(child, catalog, batch_size))
+        yield from _rows_to_batches(rows, len(plan.schema), batch_size)
+    elif isinstance(plan, phys.PSeqScan):
         yield from _seq_scan(plan, catalog, batch_size)
     elif isinstance(plan, phys.PIndexScan):
-        yield from _rows_to_batches(_index_scan_rows(plan, catalog), len(plan.schema), batch_size)
+        yield from _rows_to_batches(_index_scan(plan, catalog), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PValues):
         yield from _rows_to_batches(iter(plan.rows), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PFilter):
         yield from _filter(plan, catalog, batch_size)
     elif isinstance(plan, phys.PProject):
         yield from _project(plan, catalog, batch_size)
-    elif isinstance(plan, phys.PHashJoin):
-        yield from _hash_join(plan, catalog, batch_size)
-    elif isinstance(plan, phys.PNestedLoopJoin):
-        yield from _nested_loop_join(plan, catalog, batch_size)
-    elif isinstance(plan, phys.PAggregate):
-        yield from _aggregate(plan, catalog, batch_size)
-    elif isinstance(plan, phys.PSetOp):
-        # Set semantics are row-identity logic over materialized inputs.
-        rows = _set_op_vectorized(plan, catalog, batch_size)
-        yield from _rows_to_batches(iter(rows), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PSort):
-        rows = _materialize(plan.child, catalog, batch_size)
+        rows = list(execute_vectorized(plan.child, catalog, batch_size))
         ordered = sort_rows(rows, plan.keys, plan.limit_hint)
         yield from _rows_to_batches(iter(ordered), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PLimit):
         yield from _limit(plan, catalog, batch_size)
-    elif isinstance(plan, phys.PDistinct):
-        yield from _distinct(plan, catalog, batch_size)
     elif isinstance(plan, phys.PParallelScan):
         yield from parallel.scan_batches(plan, catalog)
     elif isinstance(plan, phys.PTwoPhaseAggregate):
         rows = parallel.aggregate_rows(plan, catalog)
         yield from _rows_to_batches(iter(rows), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PPartitionedHashJoin):
-        right_rows = _materialize(plan.right, catalog, batch_size)
+        right_rows = list(execute_vectorized(plan.right, catalog, batch_size))
         rows = parallel.join_rows(plan, catalog, right_rows)
         yield from _rows_to_batches(iter(rows), len(plan.schema), batch_size)
     elif isinstance(plan, phys.PParallelSort):
@@ -97,12 +91,6 @@ def _seq_scan(
     yield from _rows_to_batches(table.scan_rows(), len(plan.schema), batch_size)
 
 
-def _index_scan_rows(plan: phys.PIndexScan, catalog: Catalog) -> Iterator[Row]:
-    from repro.exec.volcano import _index_scan
-
-    yield from _index_scan(plan, catalog)
-
-
 def _rows_to_batches(
     rows: Iterator[Row], width: int, batch_size: int
 ) -> Iterator[Tuple[Batch, int]]:
@@ -116,14 +104,6 @@ def _rows_to_batches(
             chunk = []
     if chunk:
         yield _pivot(chunk, width), len(chunk)
-
-
-def _materialize(plan: phys.PhysicalPlan, catalog: Catalog, batch_size: int) -> List[Row]:
-    rows: List[Row] = []
-    for batch, n in _execute(plan, catalog, batch_size):
-        for i in range(n):
-            rows.append(tuple(col[i] for col in batch))
-    return rows
 
 
 # -- pipeline operators ------------------------------------------------------------
@@ -148,125 +128,6 @@ def _project(
 ) -> Iterator[Tuple[Batch, int]]:
     for batch, n in _execute(plan.child, catalog, batch_size):
         yield [list(eval_batch(e, batch, n)) for e in plan.exprs], n
-
-
-def _hash_join(
-    plan: phys.PHashJoin, catalog: Catalog, batch_size: int
-) -> Iterator[Tuple[Batch, int]]:
-    right_rows = _materialize(plan.right, catalog, batch_size)
-    table: Dict[Tuple, List[Row]] = {}
-    right_keys = [evaluator(k) for k in plan.right_keys]
-    for right_row in right_rows:
-        key = tuple(k(right_row) for k in right_keys)
-        if any(v is None for v in key):
-            continue
-        table.setdefault(key, []).append(right_row)
-    right_width = len(plan.right.schema)
-    null_pad = (None,) * right_width
-    out_width = len(plan.schema)
-    residual = evaluator(plan.residual)
-
-    out_rows: List[Row] = []
-    for batch, n in _execute(plan.left, catalog, batch_size):
-        key_cols = [eval_batch(k, batch, n) for k in plan.left_keys]
-        for i in range(n):
-            key = tuple(col[i] for col in key_cols)
-            left_row = tuple(col[i] for col in batch)
-            matched = False
-            if not any(v is None for v in key):
-                for right_row in table.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is None or residual(combined) is True:
-                        matched = True
-                        out_rows.append(combined)
-            if plan.is_outer and not matched:
-                out_rows.append(left_row + null_pad)
-            if len(out_rows) >= batch_size:
-                yield _pivot(out_rows, out_width), len(out_rows)
-                out_rows = []
-    if out_rows:
-        yield _pivot(out_rows, out_width), len(out_rows)
-
-
-def _nested_loop_join(
-    plan: phys.PNestedLoopJoin, catalog: Catalog, batch_size: int
-) -> Iterator[Tuple[Batch, int]]:
-    right_rows = _materialize(plan.right, catalog, batch_size)
-    right_width = len(plan.right.schema)
-    null_pad = (None,) * right_width
-    out_width = len(plan.schema)
-    condition = evaluator(plan.condition)
-    out_rows: List[Row] = []
-    for batch, n in _execute(plan.left, catalog, batch_size):
-        for i in range(n):
-            left_row = tuple(col[i] for col in batch)
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if condition is None or condition(combined) is True:
-                    matched = True
-                    out_rows.append(combined)
-            if plan.is_outer and not matched:
-                out_rows.append(left_row + null_pad)
-            if len(out_rows) >= batch_size:
-                yield _pivot(out_rows, out_width), len(out_rows)
-                out_rows = []
-    if out_rows:
-        yield _pivot(out_rows, out_width), len(out_rows)
-
-
-def _set_op_vectorized(plan, catalog: Catalog, batch_size: int) -> List[Row]:
-    left_rows = _materialize(plan.left, catalog, batch_size)
-    right_rows = _materialize(plan.right, catalog, batch_size)
-    if plan.kind == "union":
-        if plan.all:
-            return left_rows + right_rows
-        out, seen = [], set()
-        for row in left_rows + right_rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
-    right_set = set(right_rows)
-    out, emitted = [], set()
-    if plan.kind == "intersect":
-        for row in left_rows:
-            if row in right_set and row not in emitted:
-                emitted.add(row)
-                out.append(row)
-        return out
-    for row in left_rows:  # except
-        if row not in right_set and row not in emitted:
-            emitted.add(row)
-            out.append(row)
-    return out
-
-
-def _aggregate(
-    plan: phys.PAggregate, catalog: Catalog, batch_size: int
-) -> Iterator[Tuple[Batch, int]]:
-    groups: Dict[Tuple, List[_Accumulator]] = {}
-    order: List[Tuple] = []
-    key_width = len(plan.group_exprs)
-    for batch, n in _execute(plan.child, catalog, batch_size):
-        key_cols = [eval_batch(e, batch, n) for e in plan.group_exprs]
-        for i in range(n):
-            key = tuple(col[i] for col in key_cols)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(spec) for spec in plan.aggregates]
-                groups[key] = accs
-                order.append(key)
-            row = tuple(col[i] for col in batch)
-            for acc in accs:
-                acc.add(row)
-    rows: List[Row] = []
-    if not groups and not plan.group_exprs:
-        rows.append(tuple(_Accumulator(spec).result() for spec in plan.aggregates))
-    else:
-        for key in order:
-            rows.append(key + tuple(acc.result() for acc in groups[key]))
-    yield from _rows_to_batches(iter(rows), key_width + len(plan.aggregates), batch_size)
 
 
 def _limit(
@@ -296,26 +157,6 @@ def _limit(
             remaining -= taken
             if remaining <= 0:
                 return
-
-
-def _distinct(
-    plan: phys.PDistinct, catalog: Catalog, batch_size: int
-) -> Iterator[Tuple[Batch, int]]:
-    seen = set()
-    width = len(plan.schema)
-    out_rows: List[Row] = []
-    for batch, n in _execute(plan.child, catalog, batch_size):
-        for i in range(n):
-            row = tuple(col[i] for col in batch)
-            if row in seen:
-                continue
-            seen.add(row)
-            out_rows.append(row)
-        if len(out_rows) >= batch_size:
-            yield _pivot(out_rows, width), len(out_rows)
-            out_rows = []
-    if out_rows:
-        yield _pivot(out_rows, width), len(out_rows)
 
 
 def _pivot(rows: List[Row], width: int) -> Batch:

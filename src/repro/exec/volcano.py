@@ -4,24 +4,36 @@ Each physical operator lowers to a Python generator; composing generators
 gives the classic open/next/close pipeline without the boilerplate.  The
 engine shares the physical plan format with the vectorized engine — run the
 same plan on either and you get the same rows (tested property).
+
+The row operators with no batch form — hash and nested-loop join, hash
+aggregate, set operations and DISTINCT — are implemented once, here, for
+both engines (:data:`ROW_OPERATORS`).  Each takes the calling engine's
+child-row executor, ``rows(child)``, and is a generator, so no child runs
+before the operator is pulled.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.core.errors import ExecutionError
 from repro.core.types import Row
 from repro.exec import parallel
 from repro.exec import physical as phys
-from repro.exec.compile import evaluator, is_enabled
+from repro.exec.compile import evaluator
 from repro.plan.expressions import AggSpec, BoundExpr
+
+#: An engine's child-row executor: ``rows(child)`` yields the child's rows.
+ChildRows = Callable[[phys.PhysicalPlan], Iterable[Row]]
 
 
 def execute_volcano(plan: phys.PhysicalPlan, catalog: Catalog) -> Iterator[Row]:
     """Run a physical plan, yielding result rows."""
+    row_operator = ROW_OPERATORS.get(type(plan))
+    if row_operator is not None:
+        return row_operator(plan, lambda child: execute_volcano(child, catalog))
     if isinstance(plan, phys.PSeqScan):
         return _seq_scan(plan, catalog)
     if isinstance(plan, phys.PIndexScan):
@@ -32,20 +44,10 @@ def execute_volcano(plan: phys.PhysicalPlan, catalog: Catalog) -> Iterator[Row]:
         return _filter(plan, catalog)
     if isinstance(plan, phys.PProject):
         return _project(plan, catalog)
-    if isinstance(plan, phys.PNestedLoopJoin):
-        return _nested_loop_join(plan, catalog)
-    if isinstance(plan, phys.PHashJoin):
-        return _hash_join(plan, catalog)
-    if isinstance(plan, phys.PAggregate):
-        return _aggregate(plan, catalog)
-    if isinstance(plan, phys.PSetOp):
-        return _set_op(plan, catalog)
     if isinstance(plan, phys.PSort):
         return _sort(plan, catalog)
     if isinstance(plan, phys.PLimit):
         return _limit(plan, catalog)
-    if isinstance(plan, phys.PDistinct):
-        return _distinct(plan, catalog)
     if isinstance(plan, phys.PParallelScan):
         return parallel.scan_rows(plan, catalog)
     if isinstance(plan, phys.PTwoPhaseAggregate):
@@ -123,12 +125,12 @@ def _project(plan: phys.PProject, catalog: Catalog) -> Iterator[Row]:
         yield tuple(fn(row) for fn in fns)
 
 
-def _nested_loop_join(plan: phys.PNestedLoopJoin, catalog: Catalog) -> Iterator[Row]:
-    right_rows = list(execute_volcano(plan.right, catalog))
+def nested_loop_join(plan: phys.PNestedLoopJoin, rows: ChildRows) -> Iterator[Row]:
+    right_rows = list(rows(plan.right))
     right_width = len(plan.right.schema)
     null_pad = (None,) * right_width
     condition = evaluator(plan.condition)
-    for left_row in execute_volcano(plan.left, catalog):
+    for left_row in rows(plan.left):
         matched = False
         for right_row in right_rows:
             combined = left_row + right_row
@@ -139,11 +141,11 @@ def _nested_loop_join(plan: phys.PNestedLoopJoin, catalog: Catalog) -> Iterator[
             yield left_row + null_pad
 
 
-def _hash_join(plan: phys.PHashJoin, catalog: Catalog) -> Iterator[Row]:
+def hash_join(plan: phys.PHashJoin, rows: ChildRows) -> Iterator[Row]:
     # Build on the right input.
     table: Dict[Tuple, List[Row]] = {}
     right_keys = [evaluator(k) for k in plan.right_keys]
-    for right_row in execute_volcano(plan.right, catalog):
+    for right_row in rows(plan.right):
         key = tuple(k(right_row) for k in right_keys)
         if any(v is None for v in key):
             continue  # SQL equality never matches NULL
@@ -152,7 +154,7 @@ def _hash_join(plan: phys.PHashJoin, catalog: Catalog) -> Iterator[Row]:
     null_pad = (None,) * right_width
     residual = evaluator(plan.residual)
     left_keys = [evaluator(k) for k in plan.left_keys]
-    for left_row in execute_volcano(plan.left, catalog):
+    for left_row in rows(plan.left):
         key = tuple(k(left_row) for k in left_keys)
         matched = False
         if not any(v is None for v in key):
@@ -178,10 +180,10 @@ def _partitioned_hash_join(
 class _Accumulator:
     """State for one aggregate within one group.
 
-    ``add`` is an instance attribute: when expression codegen is enabled the
-    per-function dispatch is resolved once at construction into a specialized
-    closure (the aggregate analogue of compiling an expression), otherwise it
-    falls back to the branching interpreter in :meth:`_add_generic`.
+    ``add`` is an instance attribute: the per-function dispatch is resolved
+    once at construction into a specialized closure (the aggregate analogue
+    of compiling an expression).  DISTINCT aggregates use the branching
+    :meth:`_add_generic`.
     """
 
     __slots__ = ("spec", "arg_fn", "count", "total", "extreme", "distinct_values", "add")
@@ -193,13 +195,10 @@ class _Accumulator:
         self.total: Any = None
         self.extreme: Any = None
         self.distinct_values = set() if spec.distinct else None
-        self.add = self._make_add() if is_enabled() else self._add_generic
+        self.add = self._make_add()
 
     def _add_generic(self, row: Row) -> None:
         spec = self.spec
-        if self.arg_fn is None:  # COUNT(*)
-            self.count += 1
-            return
         value = self.arg_fn(row)
         if value is None:
             return
@@ -275,11 +274,11 @@ class _Accumulator:
         return self.extreme
 
 
-def _aggregate(plan: phys.PAggregate, catalog: Catalog) -> Iterator[Row]:
+def aggregate(plan: phys.PAggregate, rows: ChildRows) -> Iterator[Row]:
     groups: Dict[Tuple, List[_Accumulator]] = {}
     order: List[Tuple] = []
     group_fns = [evaluator(e) for e in plan.group_exprs]
-    for row in execute_volcano(plan.child, catalog):
+    for row in rows(plan.child):
         key = tuple(fn(row) for fn in group_fns)
         accs = groups.get(key)
         if accs is None:
@@ -299,29 +298,29 @@ def _aggregate(plan: phys.PAggregate, catalog: Catalog) -> Iterator[Row]:
 # -- set operations ----------------------------------------------------------------
 
 
-def _set_op(plan: phys.PSetOp, catalog: Catalog) -> Iterator[Row]:
+def set_op(plan: phys.PSetOp, rows: ChildRows) -> Iterator[Row]:
     if plan.kind == "union":
         if plan.all:
-            yield from execute_volcano(plan.left, catalog)
-            yield from execute_volcano(plan.right, catalog)
+            yield from rows(plan.left)
+            yield from rows(plan.right)
             return
         seen = set()
         for side in (plan.left, plan.right):
-            for row in execute_volcano(side, catalog):
+            for row in rows(side):
                 if row not in seen:
                     seen.add(row)
                     yield row
         return
-    right_rows = set(execute_volcano(plan.right, catalog))
+    right_rows = set(rows(plan.right))
     emitted = set()
     if plan.kind == "intersect":
-        for row in execute_volcano(plan.left, catalog):
+        for row in rows(plan.left):
             if row in right_rows and row not in emitted:
                 emitted.add(row)
                 yield row
         return
     if plan.kind == "except":
-        for row in execute_volcano(plan.left, catalog):
+        for row in rows(plan.left):
             if row not in right_rows and row not in emitted:
                 emitted.add(row)
                 yield row
@@ -397,10 +396,20 @@ def _limit(plan: phys.PLimit, catalog: Catalog) -> Iterator[Row]:
         yield row
 
 
-def _distinct(plan: phys.PDistinct, catalog: Catalog) -> Iterator[Row]:
+def distinct(plan: phys.PDistinct, rows: ChildRows) -> Iterator[Row]:
     seen = set()
-    for row in execute_volcano(plan.child, catalog):
+    for row in rows(plan.child):
         if row in seen:
             continue
         seen.add(row)
         yield row
+
+
+#: The row operators both engines run through this one implementation.
+ROW_OPERATORS: Dict[type, Callable[[Any, ChildRows], Iterator[Row]]] = {
+    phys.PHashJoin: hash_join,
+    phys.PNestedLoopJoin: nested_loop_join,
+    phys.PAggregate: aggregate,
+    phys.PSetOp: set_op,
+    phys.PDistinct: distinct,
+}

@@ -62,8 +62,11 @@ class ColumnTable:
             self._array_cache.clear()
 
     def update(self, index: int, row: Sequence[Any]) -> int:
-        """Overwrite a row in place; returns its index, which never moves."""
-        stored = validate_row(self.schema, row)
+        """Validate and overwrite a row in place; returns its index, which never moves."""
+        return self.replace(index, validate_row(self.schema, row))
+
+    def replace(self, index: int, stored: Row) -> int:
+        """Overwrite a row with a tuple :func:`validate_row` already returned."""
         with self._lock:
             self._check_index(index)
             if index in self._deleted:

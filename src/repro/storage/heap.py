@@ -118,8 +118,12 @@ class HeapFile:
                 self.pool.unpin(rid.page_id, dirty=True)
 
     def update(self, rid: RecordId, row: Sequence[Any]) -> RecordId:
-        """Replace a record; returns its (possibly new) record id."""
-        stored = validate_row(self.schema, row)
+        """Validate and replace a record; returns its (possibly new) record id."""
+        return self.replace(rid, validate_row(self.schema, row))
+
+    def replace(self, rid: RecordId, stored: Row) -> RecordId:
+        """Replace a record with a row :func:`validate_row` already returned;
+        returns its (possibly new) record id."""
         payload = self.codec.encode(stored)
         if len(payload) > MAX_RECORD_SIZE:
             raise StorageError(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -110,3 +112,64 @@ class TestRepoIsClean:
         )
         assert dirty.returncode == 1
         assert "[bare-except]" in dirty.stdout
+
+
+#: The environment switches the engine reads; any other setting is an argument.
+ENV_SWITCHES = {"REPRO_SANITIZE", "REPRO_VERIFY_PLANS", "REPRO_WORKERS", "REPRO_PARALLEL"}
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ"
+    )
+
+
+def _env_keys(tree):
+    """Keys of every environment read: ``environ.get/[]/in`` and ``getenv``.
+
+    A key that is not a string literal comes back as ``"<dynamic>"``."""
+    for node in ast.walk(tree):
+        keys = []
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "getenv" or (isinstance(func, ast.Attribute) and _is_environ(func.value)):
+                keys = node.args[:1]
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            keys = [node.slice]
+        elif isinstance(node, ast.Compare) and any(map(_is_environ, node.comparators)):
+            keys = [node.left]
+        for key in keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                yield key.value
+            else:
+                yield "<dynamic>"
+
+
+class TestEnvironmentSwitches:
+    def test_src_reads_exactly_the_documented_switches(self):
+        found = set()
+        for root, _, files in os.walk(os.path.join(REPO_ROOT, "src", "repro")):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name), encoding="utf-8") as fh:
+                        found.update(_env_keys(ast.parse(fh.read())))
+        assert found == ENV_SWITCHES
+
+    def test_scanner_sees_every_read_form(self):
+        tree = ast.parse(
+            "import os\n"
+            "os.environ.get('REPRO_A')\n"
+            "os.environ['REPRO_B']\n"
+            "'REPRO_C' in os.environ\n"
+            "os.getenv('REPRO_D', '')\n"
+            "os.environ.get(name)\n"
+        )
+        assert set(_env_keys(tree)) == {"REPRO_A", "REPRO_B", "REPRO_C", "REPRO_D", "<dynamic>"}
+
+    def test_readme_lists_the_same_switches(self):
+        with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        section = readme.split("### Environment switches", 1)[1].split("\n#", 1)[0]
+        listed = set(re.findall(r"^- `(REPRO_[A-Z_]+)", section, re.MULTILINE))
+        assert listed == ENV_SWITCHES

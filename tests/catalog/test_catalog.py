@@ -65,7 +65,7 @@ class TestTableOps:
         table = catalog.create_table("t", SCHEMA, layout=layout)
         rid, _ = table.insert((1, "a", 0.5))
         assert table.get(rid) == (1, "a", 0.5)
-        new_rid = table.update(rid, (1, "b", 0.9))
+        new_rid, _ = table.update(rid, (1, "b", 0.9))
         assert table.get(new_rid) == (1, "b", 0.9)
         removed = table.delete(new_rid)
         assert removed == (1, "b", 0.9)
@@ -96,6 +96,40 @@ class TestTableOps:
             (2, "b", 3.0),
             (3, None, 4.0),
         ]
+
+        # An update reads its row exactly once: the existence check (which
+        # also supplies the undo image).  Storage, indexes and the WAL
+        # after-image all use the validated tuple.
+        db.execute("CREATE INDEX t_name ON t (name)")
+        real_gets = {cls: cls.get for cls in (HeapFile, ColumnTable)}
+        calls = []
+
+        def counting_get(cls):
+            def get(self, rid):
+                calls.append(rid)
+                return real_gets[cls](self, rid)
+
+            return get
+
+        for cls in real_gets:
+            monkeypatch.setattr(cls, "get", counting_get(cls))
+        table = db.table("t")
+        rid = next(rid for rid, row in table.scan() if row[0] == 1)
+        _, stored = table.update(rid, (1, "c", 5))
+        assert stored == (1, "c", 5.0)
+        assert len(calls) == 1
+        calls.clear()
+        db.execute("UPDATE t SET score = 7 WHERE id = 2")
+        assert len(calls) == 1
+        monkeypatch.undo()
+        updates = [r.after for r in db.wal.records() if r.type is LogRecordType.UPDATE]
+        assert updates == [(2, "b", 7.0)]
+        assert sorted(db.execute("SELECT * FROM t").rows) == [
+            (1, "c", 5.0),
+            (2, "b", 7.0),
+            (3, None, 4.0),
+        ]
+        assert db.execute("SELECT id FROM t WHERE name = 'c'").rows == [(1,)]
 
     def test_delete_missing_rid(self, catalog, layout):
         table = catalog.create_table("t", SCHEMA, layout=layout)
@@ -134,7 +168,7 @@ class TestIndexMaintenance:
         table = catalog.create_table("t", SCHEMA)
         info = catalog.create_index("idx", "t", "id")
         rid, _ = table.insert((1, "x", 1.0))
-        new_rid = table.update(rid, (2, "x", 1.0))
+        new_rid, _ = table.update(rid, (2, "x", 1.0))
         assert info.structure.search(1) == []
         assert info.structure.search(2) == [new_rid]
 

@@ -1,9 +1,9 @@
 """Batch-boundary sweep for the vectorized engine.
 
 Vectorized operators carry state across batch edges (sort and set-op
-materialization, aggregate accumulators, join build/probe chunking); the
-classic failure mode is an operator that is only correct when all its input
-arrives in one batch.  This sweep runs representative plans at batch sizes
+materialization, aggregate accumulators, hash and nested-loop join
+build/probe chunking); the classic failure mode is an operator that is only
+correct when all its input arrives in one batch.  This sweep runs representative plans at batch sizes
 that straddle the default (1024): 1, 2, 1023, 1024, 1025 — so every operator
 sees single-row batches, off-by-one edges, and inputs split mid-group —
 and checks results against the volcano engine's output.
@@ -37,6 +37,13 @@ QUERIES = [
     "SELECT grp FROM a EXCEPT SELECT grp FROM b",
     "SELECT a.id, b.val FROM a JOIN b ON a.id = b.id WHERE b.val > 100.0",
     "SELECT a.id, b.val FROM a LEFT JOIN b ON a.id = b.id",
+    # Non-equi conditions plan as nested-loop joins.
+    "SELECT a.id, b.id FROM a JOIN b ON a.id < b.id WHERE b.id >= 1490",
+    "SELECT a.id, b.id FROM a LEFT JOIN b ON a.id < b.id AND b.id >= 1490",
+    # Empty-input global aggregate: one row of identity values.
+    "SELECT COUNT(*), SUM(val) FROM a WHERE id < 0",
+    # No FROM: the aggregate's input is one zero-width row.
+    "SELECT COUNT(*)",
 ]
 
 

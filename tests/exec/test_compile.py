@@ -4,8 +4,7 @@ The compiled closure must be *indistinguishable* from the tree-walking
 ``BoundExpr.eval`` — same values (including None), same short-circuit
 behavior, same errors.  The differential property test below generates
 randomized expression trees (NULLs, LIKE, CASE, IN lists, nested binaries,
-scalar functions) and checks both evaluators row by row; a SQL-level pass
-does the same through both execution engines.
+scalar functions) and checks both evaluators row by row.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ import random
 
 import pytest
 
-from repro.core.database import Database
 from repro.core.errors import ExecutionError
 from repro.core.types import DataType
-from repro.exec import compile as compile_mod
 from repro.exec.compile import CompileError, compile_expr, compiled_source, evaluator
 from repro.plan.expressions import (
     BoundBinary,
@@ -171,49 +168,6 @@ class TestDifferentialProperty:
             for row in rows:
                 assert outcomes(fn, row) == outcomes(expr.eval, row)
 
-    @pytest.mark.parametrize("engine", ["volcano", "vectorized"])
-    def test_sql_results_identical_with_and_without_codegen(self, engine):
-        queries = [
-            "SELECT id, age FROM people WHERE age > 26 AND city = 'nyc'",
-            "SELECT name FROM people WHERE age IS NULL OR age < 29",
-            "SELECT name FROM people WHERE name LIKE '%a%' AND NOT (id = 3)",
-            "SELECT id, CASE WHEN age > 30 THEN 'old' ELSE 'young' END FROM people",
-            "SELECT city, COUNT(*), AVG(age) FROM people GROUP BY city ORDER BY city",
-            "SELECT p.name, o.amount FROM people p JOIN orders o ON p.id = o.pid "
-            "WHERE o.amount > 10.0 ORDER BY o.amount",
-            "SELECT id FROM people WHERE id IN (1, 3, 5) ORDER BY id DESC",
-        ]
-
-        def run_all(database):
-            return [database.execute(q, engine=engine).rows for q in queries]
-
-        def make_db():
-            database = Database(plan_cache_size=0)
-            database.execute(
-                "CREATE TABLE people (id INTEGER NOT NULL, name TEXT, age INTEGER, city TEXT)"
-            )
-            database.execute(
-                "INSERT INTO people VALUES "
-                "(1, 'alice', 30, 'nyc'), (2, 'bob', 25, 'sf'), (3, 'carol', 35, 'nyc'), "
-                "(4, 'dave', 28, 'chi'), (5, 'erin', NULL, 'sf')"
-            )
-            database.execute("CREATE TABLE orders (oid INTEGER, pid INTEGER, amount FLOAT)")
-            database.execute(
-                "INSERT INTO orders VALUES "
-                "(100, 1, 20.0), (101, 1, 35.5), (102, 2, 10.0), (103, 3, 7.25), "
-                "(104, 3, 99.0), (105, 9, 1.0)"
-            )
-            return database
-
-        assert compile_mod.is_enabled()
-        with_codegen = run_all(make_db())
-        compile_mod.set_enabled(False)
-        try:
-            without_codegen = run_all(make_db())
-        finally:
-            compile_mod.set_enabled(True)
-        assert with_codegen == without_codegen
-
 
 class TestSemantics:
     def test_and_short_circuit_skips_poison_operand(self):
@@ -271,15 +225,6 @@ class TestHarness:
     def test_evaluator_of_none_is_none(self):
         assert evaluator(None) is None
 
-    def test_disabled_falls_back_to_tree_walker(self):
-        expr = BoundBinary("<", COLUMNS[0], BoundLiteral(5, INT), BOOL)
-        compile_mod.set_enabled(False)
-        try:
-            assert evaluator(expr) == expr.eval
-        finally:
-            compile_mod.set_enabled(True)
-        assert evaluator(expr) != expr.eval
-
     def test_compiled_source_is_inspectable(self):
         expr = BoundBinary("AND", COLUMNS[4], BoundIsNull(COLUMNS[0]), BOOL)
         compile_expr(expr)
@@ -299,6 +244,3 @@ class TestHarness:
 
         with pytest.raises(CompileError):
             compile_expr(Exotic())
-        # evaluator() degrades gracefully to the interpreter.
-        exotic = Exotic()
-        assert evaluator(exotic)(()) is True

@@ -269,6 +269,27 @@ class TestTwoPhaseAggregateEdges:
         rows = db.execute("SELECT SUM(v) FROM big").rows
         assert rows == [((huge + 1) * 100,)]
 
+    def test_large_integers_match_serial(self):
+        """Grouped MIN/MAX near 2^53 and SUMs past 2^63 must not go through
+        float64 identities or wrapping int64 reductions."""
+        near53 = [(i % 3, (1 << 53) + 1 + i % 5) for i in range(300)]
+        near62 = [(3, (1 << 62) + i) for i in range(10)]
+        queries = [
+            "SELECT g, MIN(v), MAX(v) FROM big GROUP BY g ORDER BY g",
+            "SELECT MIN(v), MAX(v) FROM big",
+            "SELECT SUM(v), AVG(v) FROM big",
+            "SELECT g, SUM(v) FROM big GROUP BY g ORDER BY g",
+        ]
+        results = {}
+        for workers in (0, 2):
+            db = parallel_db(workers=workers, morsel_size=64)
+            db.execute("CREATE TABLE big (g INTEGER NOT NULL, v INTEGER NOT NULL)")
+            db.insert_rows("big", near53 + near62)
+            results[workers] = [db.execute(q).rows for q in queries]
+        assert results[2] == results[0]
+        assert results[0][0][0] == (0, (1 << 53) + 1, (1 << 53) + 5)
+        assert results[0][2][0][0] == sum(v for _, v in near53 + near62)
+
 
 # -- join edge cases -------------------------------------------------------
 

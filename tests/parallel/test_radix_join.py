@@ -132,54 +132,6 @@ class TestSeedIndependence:
         assert builtin_a != builtin_b
 
 
-_FORK_SCRIPT = """
-import sys
-sys.path.insert(0, {src_path!r})
-from repro.core.database import Database
-from repro.optimizer.optimizer import OptimizerOptions
-
-
-def build(workers):
-    opts = OptimizerOptions(workers=workers, parallel_min_rows=1, morsel_size=64)
-    db = Database(
-        engine="vectorized",
-        default_layout="column",
-        optimizer_options=opts if workers else OptimizerOptions(),
-    )
-    db.execute("CREATE TABLE l (name TEXT, v INTEGER)")
-    db.execute("CREATE TABLE r (name TEXT, w INTEGER)")
-    db.insert_rows("l", [(f"key-{{i % 97}}", i) for i in range(1200)])
-    db.insert_rows("r", [(f"key-{{i}}", i * 10) for i in range(97)])
-    return db
-
-sql = "SELECT l.v, r.w FROM l JOIN r ON l.name = r.name"
-serial = build(0).execute(sql).rows
-parallel = build(3).execute(sql).rows
-assert serial == parallel, "fork-pool join diverged from serial"
-print(len(parallel))
-"""
-
-
-class TestForkPoolRouting:
-    def test_string_key_join_under_process_pool(self, tmp_path):
-        """String keys + REPRO_PROCESS_POOL=1: the configuration the old
-        builtin-hash routing made hazardous.  Fresh interpreter so the fork
-        happens outside pytest's thread state."""
-        script = tmp_path / "fork_join.py"
-        script.write_text(_FORK_SCRIPT.format(src_path=_SRC))
-        env = dict(os.environ, REPRO_PROCESS_POOL="1", PYTHONHASHSEED="7")
-        proc = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "1200"
-
-
 # -- join correctness edges -------------------------------------------------
 
 
