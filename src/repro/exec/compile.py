@@ -26,12 +26,14 @@ the differential tests and constant folding use.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ExecutionError
 from repro.plan.expressions import (
     _SCALAR_FUNCS,
+    AggSpec,
     BoundBinary,
     BoundCase,
     BoundColumn,
@@ -417,3 +419,141 @@ def compile_expr(expr: BoundExpr) -> Callable[[Sequence[Any]], Any]:
     fn.__source__ = source
     fn.__expr_sql__ = expr.to_sql()
     return fn
+
+
+# --------------------------------------------------------------------------
+# Aggregates
+# --------------------------------------------------------------------------
+
+
+class _Accumulator:
+    """State for one aggregate within one group: its compiled form.
+
+    ``add(row)`` is an instance attribute: the per-function dispatch is
+    resolved once at construction into a specialized closure (the aggregate
+    analogue of compiling an expression).  ``add_value`` takes an already
+    evaluated argument and ``merge`` folds in another accumulator's state,
+    which is how morsel tasks build partial states and the gather combines
+    them.  DISTINCT state is an insertion-ordered dict of the values seen,
+    so SUM/AVG fold them in first-seen order however they were merged.
+    """
+
+    __slots__ = ("spec", "arg_fn", "count", "total", "extreme", "distinct_values", "add")
+
+    def __init__(self, spec: AggSpec):
+        self.spec = spec
+        self.arg_fn = evaluator(spec.arg)
+        self.count = 0
+        self.total: Any = None
+        self.extreme: Any = None
+        self.distinct_values: Optional[Dict[Any, None]] = {} if spec.distinct else None
+        self.add = self._make_add()
+
+    def add_value(self, value: Any) -> None:
+        if value is None:
+            return
+        if self.distinct_values is not None:
+            self.distinct_values[value] = None
+            return
+        self.count += 1
+        func = self.spec.func
+        if func in ("SUM", "AVG"):
+            self.total = value if self.total is None else self.total + value
+        elif func == "MIN":
+            if self.extreme is None or value < self.extreme:
+                self.extreme = value
+        elif func == "MAX":
+            if self.extreme is None or value > self.extreme:
+                self.extreme = value
+
+    def merge(self, other: "_Accumulator") -> None:
+        if self.distinct_values is not None:
+            self.distinct_values.update(other.distinct_values)
+            return
+        self.count += other.count
+        if other.total is not None:
+            self.total = other.total if self.total is None else self.total + other.total
+        if other.extreme is not None:
+            func = self.spec.func
+            if (
+                self.extreme is None
+                or (func == "MIN" and other.extreme < self.extreme)
+                or (func == "MAX" and other.extreme > self.extreme)
+            ):
+                self.extreme = other.extreme
+
+    def _make_add(self):
+        arg_fn = self.arg_fn
+        if arg_fn is None:  # COUNT(*)
+            def add_star(row: Sequence[Any]) -> None:
+                self.count += 1
+
+            return add_star
+        # DISTINCT goes through add_value, which records the value set.
+        func = self.spec.func if self.distinct_values is None else None
+        if func == "COUNT":
+            def add_count(row: Sequence[Any]) -> None:
+                if arg_fn(row) is not None:
+                    self.count += 1
+
+            return add_count
+        if func in ("SUM", "AVG"):
+            def add_sum(row: Sequence[Any]) -> None:
+                value = arg_fn(row)
+                if value is not None:
+                    self.count += 1
+                    total = self.total
+                    self.total = value if total is None else total + value
+
+            return add_sum
+        if func == "MIN":
+            def add_min(row: Sequence[Any]) -> None:
+                value = arg_fn(row)
+                if value is not None:
+                    self.count += 1
+                    extreme = self.extreme
+                    if extreme is None or value < extreme:
+                        self.extreme = value
+
+            return add_min
+        if func == "MAX":
+            def add_max(row: Sequence[Any]) -> None:
+                value = arg_fn(row)
+                if value is not None:
+                    self.count += 1
+                    extreme = self.extreme
+                    if extreme is None or value > extreme:
+                        self.extreme = value
+
+            return add_max
+        add_value = self.add_value
+        return lambda row: add_value(arg_fn(row))
+
+    def result(self) -> Any:
+        if self.distinct_values is not None:
+            # Fold the distinct values, in first-seen order, into plain state.
+            plain = _Accumulator(dataclasses.replace(self.spec, distinct=False))
+            for value in self.distinct_values:
+                plain.add_value(value)
+            return plain.result()
+        func = self.spec.func
+        if func == "COUNT":
+            return self.count
+        if func == "SUM":
+            return self.total
+        if func == "AVG":
+            return self.total / self.count if self.count else None
+        return self.extreme
+
+
+def aggregate_output(
+    groups: Dict[tuple, List[_Accumulator]], aggregates: Sequence[AggSpec], grouped: bool
+) -> List[tuple]:
+    """Final rows: each group's key plus its results, in first-seen order.
+
+    A global aggregate over an empty input still yields one row of identity
+    values (COUNT 0, the rest NULL).
+    """
+    if not groups and not grouped:
+        return [tuple(_Accumulator(spec).result() for spec in aggregates)]
+    return [key + tuple(acc.result() for acc in accs) for key, accs in groups.items()]

@@ -20,12 +20,16 @@ Design (after Leis et al.'s morsel-driven parallelism, scaled down):
   the differential suite checks, and the reason first-seen group order and
   hash-join output order survive parallelization.
 
-* **Kernels.** Predicates/projections over clean (null-free, delete-free)
-  numeric columns run as numpy ufuncs over zero-copy array slices; numpy
-  releases the GIL inside those loops, so threads genuinely overlap.  On
-  NULLs, text, or exotic expressions the task falls back to the same
-  per-row evaluation the serial vectorized engine uses — correctness never
-  depends on the fast path.
+* **Kernels.** Every task filters and projects with
+  :mod:`repro.exec.vector_eval`'s ``filter_batch``/``project_batch``, the
+  serial vectorized engine's own kernels: over clean (null-free,
+  delete-free) numeric columns they run numpy ufuncs on zero-copy array
+  slices, and numpy releases the GIL inside those loops, so threads
+  genuinely overlap.  An int64 ufunc runs only when its result provably
+  fits; where it could wrap, and on NULLs, text or functions, that node
+  falls back to the per-row compiled scalar closure.  Partial aggregates
+  are :class:`~repro.exec.compile._Accumulator` states, merged in morsel
+  order.
 
 * **Workers.** ``workers <= 1`` executes tasks inline on the caller (the
   overhead-measurement configuration); otherwise tasks run on a cached
@@ -53,17 +57,17 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.exec import physical as phys
-from repro.exec.compile import evaluator
+from repro.exec.compile import _Accumulator, aggregate_output, evaluator
 from repro.exec.stablehash import stable_hash, stable_partitions
-from repro.exec.vector_eval import eval_batch, normalize_mask
-from repro.plan.expressions import (
-    AggSpec,
-    BoundBinary,
-    BoundColumn,
-    BoundExpr,
-    BoundLiteral,
-    BoundUnary,
+from repro.exec.vector_eval import (
+    Batch,
+    as_list,
+    eval_batch,
+    filter_batch,
+    project_batch,
+    take,
 )
+from repro.plan.expressions import AggSpec, BoundExpr
 from repro.txn.trace import (
     ABORT,
     BEGIN,
@@ -72,19 +76,6 @@ from repro.txn.trace import (
     ScheduleRecorder,
     sanitize_enabled,
 )
-
-Batch = List[List[Any]]  # column-major, same convention as vector_eval
-
-_NUMPY_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
-_NUMPY_CMP = {
-    "=": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
-
 
 # -- worker pool ----------------------------------------------------------------
 
@@ -151,168 +142,41 @@ def _traced(task: Callable[[], Any], table: str, morsel: int) -> Callable[[], An
     return traced
 
 
-# -- numpy kernels ---------------------------------------------------------------
+# -- morsel tasks -------------------------------------------------------------------
 
 
-def _numpy_operand(expr: BoundExpr, columns: Batch) -> Any:
-    """``expr`` as a numpy array/scalar over clean columns, or None.
+def _morsel_tasks(
+    scan: phys.PParallelScan,
+    catalog: Catalog,
+    finish: Callable[[Batch, int], Any],
+) -> List[Callable[[], Any]]:
+    """One read -> filter -> project -> ``finish`` task per morsel, traced."""
+    source = catalog.get_table(scan.table).morsels(scan.morsel_size)
+    predicate, exprs = scan.predicate, scan.exprs
 
-    Only sound over morsel batches whose numpy columns are null-free (the
-    clean-array contract): comparisons and arithmetic then have no NULL
-    three-valued logic to honor.  Returns a scalar for literals so ufuncs
-    broadcast.
-    """
-    if isinstance(expr, BoundColumn):
-        col = columns[expr.index]
-        return col if isinstance(col, np.ndarray) else None
-    if isinstance(expr, BoundLiteral):
-        value = expr.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return value
-    if isinstance(expr, BoundUnary) and expr.op == "-":
-        operand = _numpy_operand(expr.operand, columns)
-        return None if operand is None else np.negative(operand)
-    if isinstance(expr, BoundBinary) and expr.op in _NUMPY_ARITH:
-        left = _numpy_operand(expr.left, columns)
-        if left is None:
-            return None
-        right = _numpy_operand(expr.right, columns)
-        if right is None:
-            return None
-        return _NUMPY_ARITH[expr.op](left, right)
-    return None
-
-
-def _numpy_mask(pred: BoundExpr, columns: Batch) -> Optional[np.ndarray]:
-    """Boolean selection mask via numpy, or None to fall back to eval_batch."""
-    if isinstance(pred, BoundBinary):
-        if pred.op == "AND":
-            left = _numpy_mask(pred.left, columns)
-            if left is None:
-                return None
-            right = _numpy_mask(pred.right, columns)
-            if right is None:
-                return None
-            return left & right
-        if pred.op == "OR":
-            left = _numpy_mask(pred.left, columns)
-            if left is None:
-                return None
-            right = _numpy_mask(pred.right, columns)
-            if right is None:
-                return None
-            return left | right
-        if pred.op in _NUMPY_CMP:
-            left = _numpy_operand(pred.left, columns)
-            if left is None:
-                return None
-            right = _numpy_operand(pred.right, columns)
-            if right is None:
-                return None
-            if np.isscalar(left) and np.isscalar(right):
-                return None  # constant predicate: let the general path decide
-            return _NUMPY_CMP[pred.op](left, right)
-    return None
-
-
-def _compress(columns: Batch, n: int, keep: Sequence[int]) -> Tuple[Batch, int]:
-    """Keep only the rows at positions ``keep`` (already in order)."""
-    if len(keep) == n:
-        return columns, n
-    idx = np.asarray(keep, dtype=np.intp)
-    out: Batch = []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            out.append(col[idx])
-        else:
-            out.append([col[i] for i in keep])
-    return out, len(keep)
-
-
-def _apply_filter(
-    predicate: Optional[BoundExpr], columns: Batch, n: int
-) -> Tuple[Batch, int]:
-    if predicate is None or n == 0:
-        return columns, n
-    mask = _numpy_mask(predicate, columns)
-    if mask is not None:
-        if mask.all():
-            return columns, n
-        keep = np.flatnonzero(mask)
-        out: Batch = []
-        for col in columns:
-            if isinstance(col, np.ndarray):
-                out.append(col[keep])
-            else:
-                out.append([col[i] for i in keep])
-        return out, len(keep)
-    values = normalize_mask(eval_batch(predicate, columns, n))
-    keep_list = [i for i, v in enumerate(values) if v is True]
-    return _compress(columns, n, keep_list)
-
-
-def _apply_project(
-    exprs: Optional[Tuple[BoundExpr, ...]], columns: Batch, n: int
-) -> Batch:
-    if exprs is None:
-        return columns
-    out: Batch = []
-    for expr in exprs:
-        arr = _numpy_operand(expr, columns)
-        if arr is not None and not np.isscalar(arr):
-            out.append(arr)
-        else:
-            out.append(eval_batch(expr, columns, n))
-    return out
-
-
-def _to_lists(columns: Batch, width: int, n: int) -> Batch:
-    """Engine boundary: numpy views become plain lists of Python scalars."""
-    if n == 0:
-        return [[] for _ in range(width)]
-    out: Batch = []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            out.append(col.tolist())
-        elif isinstance(col, list):
-            out.append(col)
-        else:
-            out.append(list(col))
-    return out
-
-
-# -- parallel scan ----------------------------------------------------------------
-
-
-def _scan_tasks(
-    node: phys.PParallelScan, catalog: Catalog
-) -> List[Callable[[], Tuple[Batch, int]]]:
-    """One fused scan+filter+project task per morsel, sanitizer-traced."""
-    source = catalog.get_table(node.table).morsels(node.morsel_size)
-    predicate, exprs = node.predicate, node.exprs
-
-    def make(spec: Any) -> Callable[[], Tuple[Batch, int]]:
-        def task() -> Tuple[Batch, int]:
-            columns, n = source.read(spec)
-            columns, n = _apply_filter(predicate, columns, n)
-            return _apply_project(exprs, columns, n), n
+    def make(spec: Any) -> Callable[[], Any]:
+        def task() -> Any:
+            columns, n = filter_batch(predicate, *source.read(spec))
+            return finish(project_batch(exprs, columns, n), n)
 
         return task
 
     return [
-        _traced(make(spec), node.table, i) for i, spec in enumerate(source.specs)
+        _traced(make(spec), scan.table, i) for i, spec in enumerate(source.specs)
     ]
+
+
+# -- parallel scan ----------------------------------------------------------------
 
 
 def scan_batches(
     node: phys.PParallelScan, catalog: Catalog
 ) -> Iterator[Tuple[Batch, int]]:
     """Execute a parallel scan; yield column-major batches in morsel order."""
-    width = len(node.schema)
-    for columns, n in map_ordered(_scan_tasks(node, catalog), node.workers):
+    tasks = _morsel_tasks(node, catalog, lambda columns, n: (columns, n))
+    for columns, n in map_ordered(tasks, node.workers):
         if n:
-            yield _to_lists(columns, width, n), n
+            yield [as_list(col) for col in columns], n
 
 
 def scan_rows(node: phys.PParallelScan, catalog: Catalog) -> Iterator[Tuple]:
@@ -324,115 +188,49 @@ def scan_rows(node: phys.PParallelScan, catalog: Catalog) -> Iterator[Tuple]:
 
 # -- two-phase aggregation ---------------------------------------------------------
 
-#: Partial state per (group, aggregate): [count, total, extreme, distinct_set].
-#: Mirrors volcano's ``_Accumulator`` fields so finalization semantics match.
-
-
-def _new_state(spec: AggSpec) -> List[Any]:
-    return [0, None, None, set() if spec.distinct else None]
-
-
-def _state_add(state: List[Any], spec: AggSpec, value: Any) -> None:
-    if value is None:
-        return
-    if state[3] is not None:
-        if value in state[3]:
-            return
-        state[3].add(value)
-    state[0] += 1
-    func = spec.func
-    if func in ("SUM", "AVG"):
-        state[1] = value if state[1] is None else state[1] + value
-    elif func == "MIN":
-        if state[2] is None or value < state[2]:
-            state[2] = value
-    elif func == "MAX":
-        if state[2] is None or value > state[2]:
-            state[2] = value
-
-
-def _merge_state(into: List[Any], other: List[Any], spec: AggSpec) -> None:
-    if into[3] is not None:
-        # DISTINCT: the value set *is* the state; rebuild counts on finalize.
-        into[3] |= other[3]
-        return
-    into[0] += other[0]
-    if other[1] is not None:
-        into[1] = other[1] if into[1] is None else into[1] + other[1]
-    if other[2] is not None:
-        func = spec.func
-        if into[2] is None:
-            into[2] = other[2]
-        elif func == "MIN" and other[2] < into[2]:
-            into[2] = other[2]
-        elif func == "MAX" and other[2] > into[2]:
-            into[2] = other[2]
-
-
-def _finalize_state(state: List[Any], spec: AggSpec) -> Any:
-    count, total, extreme, distinct = state
-    if distinct is not None:
-        count = len(distinct)
-        if spec.func in ("SUM", "AVG"):
-            total = None
-            for value in distinct:
-                total = value if total is None else total + value
-        elif spec.func in ("MIN", "MAX"):
-            if distinct:
-                extreme = min(distinct) if spec.func == "MIN" else max(distinct)
-    func = spec.func
-    if func == "COUNT":
-        return count
-    if func == "SUM":
-        return total
-    if func == "AVG":
-        return total / count if count else None
-    return extreme
-
 
 def _numpy_partial(
-    spec: AggSpec,
+    accs: List[_Accumulator],
     arr: np.ndarray,
     gids: Optional[np.ndarray],
-    n_groups: int,
-) -> Optional[List[List[Any]]]:
-    """Per-group partial states for one aggregate via numpy, or None.
+) -> bool:
+    """Fill one aggregate's per-group accumulators via numpy; False if unsound.
 
     Only for non-DISTINCT aggregates over a clean numeric array (no NULLs),
     so every row contributes: count is the group size, SUM/AVG reduce with
     exact dtype-preserving kernels (``np.add.at`` for int64 — ``bincount``
     would round-trip through float64 and lose >2^53 precision) and
     MIN/MAX start from identities of the array's own dtype.  An int64 SUM
-    that could reach 2^63 (``n·max|v|``) would wrap, so it returns None and
+    that could reach 2^63 (``n·max|v|``) would wrap, so it returns False and
     the caller sums Python ints instead.
     """
-    if spec.distinct:
-        return None
+    spec = accs[0].spec
+    if spec.distinct or arr.dtype.kind not in "if":
+        return False
     func = spec.func
     if func in ("SUM", "AVG") and arr.dtype.kind == "i" and arr.size:
         if max(-int(arr.min()), int(arr.max())) * arr.size >= 1 << 63:
-            return None
+            return False
     if gids is None:  # single (global) group
-        count = int(arr.size)
-        state: List[Any] = [count, None, None, None]
-        if func in ("SUM", "AVG") and count:
-            state[1] = arr.sum().item()
-        elif func == "MIN" and count:
-            state[2] = arr.min().item()
-        elif func == "MAX" and count:
-            state[2] = arr.max().item()
-        return [state]
-    counts = np.bincount(gids, minlength=n_groups)
-    states = [[int(c), None, None, None] for c in counts]
+        acc = accs[0]
+        acc.count = int(arr.size)
+        if func in ("SUM", "AVG") and acc.count:
+            acc.total = arr.sum().item()
+        elif func in ("MIN", "MAX") and acc.count:
+            acc.extreme = (arr.min() if func == "MIN" else arr.max()).item()
+        return True
+    n_groups = len(accs)
+    counts = np.bincount(gids, minlength=n_groups).tolist()
+    for acc, count in zip(accs, counts):
+        acc.count = count
     if func in ("SUM", "AVG"):
         if arr.dtype.kind == "i":
             totals = np.zeros(n_groups, dtype=np.int64)
             np.add.at(totals, gids, arr)
         else:
             totals = np.bincount(gids, weights=arr, minlength=n_groups)
-        for g, state in enumerate(states):
-            if state[0]:
-                state[1] = totals[g].item()
+        for acc, total in zip(accs, totals.tolist()):
+            acc.total = total  # every group has at least one row
     elif func in ("MIN", "MAX"):
         if arr.dtype.kind == "i":
             limits = np.iinfo(arr.dtype)
@@ -441,10 +239,9 @@ def _numpy_partial(
         else:
             extremes = np.full(n_groups, np.inf if func == "MIN" else -np.inf)
         (np.minimum if func == "MIN" else np.maximum).at(extremes, gids, arr)
-        for g, state in enumerate(states):
-            if state[0]:
-                state[2] = extremes[g].item()
-    return states
+        for acc, extreme in zip(accs, extremes.tolist()):
+            acc.extreme = extreme
+    return True
 
 
 def _partial_aggregate(
@@ -452,115 +249,72 @@ def _partial_aggregate(
     n: int,
     group_exprs: Tuple[BoundExpr, ...],
     aggregates: Tuple[AggSpec, ...],
-) -> Tuple[List[Tuple], Dict[Tuple, List[List[Any]]]]:
-    """Phase one: aggregate one morsel into per-group partial states.
+) -> Dict[Tuple, List[_Accumulator]]:
+    """Phase one: aggregate one morsel into per-group partial accumulators.
 
-    Returns ``(group_order, key -> [state per aggregate])`` where
-    ``group_order`` lists keys in first-seen row order within the morsel.
+    The dict's keys are in first-seen row order within the morsel.
     """
-    order: List[Tuple] = []
-    partials: Dict[Tuple, List[List[Any]]] = {}
+    partials: Dict[Tuple, List[_Accumulator]] = {}
     if n == 0:
-        return order, partials
-
+        return partials
     gids: Optional[np.ndarray] = None
     if group_exprs:
-        key_cols = []
-        for expr in group_exprs:
-            values = eval_batch(expr, columns, n)
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            key_cols.append(values)
+        key_cols = [as_list(eval_batch(expr, columns, n)) for expr in group_exprs]
         gid_of: Dict[Tuple, int] = {}
-        gids = np.empty(n, dtype=np.intp)
-        for i, key in enumerate(zip(*key_cols)):
+        gid_list = []
+        for key in zip(*key_cols):
             gid = gid_of.get(key)
             if gid is None:
-                gid = len(order)
-                gid_of[key] = gid
-                order.append(key)
-                partials[key] = [_new_state(spec) for spec in aggregates]
-            gids[i] = gid
+                gid = gid_of[key] = len(gid_of)
+                partials[key] = [_Accumulator(spec) for spec in aggregates]
+            gid_list.append(gid)
+        gids = np.asarray(gid_list, dtype=np.intp)
     else:
-        order.append(())
-        partials[()] = [_new_state(spec) for spec in aggregates]
+        partials[()] = [_Accumulator(spec) for spec in aggregates]
 
-    n_groups = len(order)
+    groups = list(partials.values())
     for a, spec in enumerate(aggregates):
+        accs = [group[a] for group in groups]
         if spec.arg is None:  # COUNT(*): every row counts
-            if gids is None:
-                partials[()][a][0] = n
-            else:
-                for g, c in enumerate(np.bincount(gids, minlength=n_groups)):
-                    partials[order[g]][a][0] = int(c)
+            counts = [n] if gids is None else np.bincount(gids).tolist()
+            for acc, count in zip(accs, counts):
+                acc.count = count
             continue
-        arr = _numpy_operand(spec.arg, columns)
-        if arr is not None and not np.isscalar(arr):
-            states = _numpy_partial(spec, arr, gids, n_groups)
-            if states is not None:
-                for g, state in enumerate(states):
-                    partials[order[g]][a] = state
-                continue
-            values = arr.tolist()
-        else:
-            values = eval_batch(spec.arg, columns, n)
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
+        values = eval_batch(spec.arg, columns, n)
+        if isinstance(values, np.ndarray) and _numpy_partial(accs, values, gids):
+            continue
+        values = as_list(values)
         if gids is None:
-            state = partials[()][a]
+            add = accs[0].add_value
             for value in values:
-                _state_add(state, spec, value)
+                add(value)
         else:
-            for i, value in enumerate(values):
-                _state_add(partials[order[gids[i]]][a], spec, value)
-    return order, partials
+            for g, value in zip(gids.tolist(), values):
+                accs[g].add_value(value)
+    return partials
 
 
 def aggregate_rows(
     node: phys.PTwoPhaseAggregate, catalog: Catalog
 ) -> List[Tuple]:
     """Execute a two-phase aggregate; returns final rows in serial order."""
-    scan = node.child
     group_exprs, aggregates = node.group_exprs, node.aggregates
-    source = catalog.get_table(scan.table).morsels(scan.morsel_size)
-    predicate, exprs = scan.predicate, scan.exprs
-
-    def make(spec: Any) -> Callable[[], Tuple[List[Tuple], Dict]]:
-        def task() -> Tuple[List[Tuple], Dict]:
-            columns, n = source.read(spec)
-            columns, n = _apply_filter(predicate, columns, n)
-            columns = _apply_project(exprs, columns, n)
-            return _partial_aggregate(columns, n, group_exprs, aggregates)
-
-        return task
-
-    tasks = [
-        _traced(make(spec), scan.table, i) for i, spec in enumerate(source.specs)
-    ]
-    order: List[Tuple] = []
-    merged: Dict[Tuple, List[List[Any]]] = {}
+    tasks = _morsel_tasks(
+        node.child,
+        catalog,
+        lambda columns, n: _partial_aggregate(columns, n, group_exprs, aggregates),
+    )
+    merged: Dict[Tuple, List[_Accumulator]] = {}
     # Phase two: merge partials in morsel order => serial first-seen order.
-    for morsel_order, partials in map_ordered(tasks, node.workers):
-        for key in morsel_order:
-            states = merged.get(key)
-            if states is None:
-                merged[key] = partials[key]
-                order.append(key)
+    for partials in map_ordered(tasks, node.workers):
+        for key, accs in partials.items():
+            into = merged.get(key)
+            if into is None:
+                merged[key] = accs
             else:
-                for state, other, spec in zip(states, partials[key], aggregates):
-                    _merge_state(state, other, spec)
-    if not merged and not group_exprs:
-        # Global aggregate over an empty input: one row of identity values.
-        return [
-            tuple(_finalize_state(_new_state(spec), spec) for spec in aggregates)
-        ]
-    return [
-        key + tuple(
-            _finalize_state(state, spec)
-            for state, spec in zip(merged[key], aggregates)
-        )
-        for key in order
-    ]
+                for acc, other in zip(into, accs):
+                    acc.merge(other)
+    return aggregate_output(merged, aggregates, bool(group_exprs))
 
 
 # -- partitioned hash join ----------------------------------------------------------
@@ -770,7 +524,6 @@ def _probe_vectorized(
     right_rows: List[Tuple],
     is_outer: bool,
     null_pad: Tuple,
-    left_width: int,
 ) -> Optional[List[Tuple]]:
     """Whole-morsel probe against a vector-mode build, or None to fall back.
 
@@ -798,8 +551,7 @@ def _probe_vectorized(
             lo + np.searchsorted(seg, sub, side="right")
         ) - starts[mask]
 
-    list_cols = _to_lists(columns, left_width, n)
-    left_tuples = list(zip(*list_cols))
+    left_tuples = list(zip(*columns))
     if not is_outer:
         total = int(counts.sum())
         if total == 0:
@@ -846,73 +598,51 @@ def join_rows(
     right_key_fns = [evaluator(k) for k in node.right_keys]
     build = _radix_build(right_rows, right_key_fns, partitions, node.workers)
 
-    scan = node.left
-    source = catalog.get_table(scan.table).morsels(scan.morsel_size)
-    predicate, exprs = scan.predicate, scan.exprs
     left_keys = node.left_keys
     residual = evaluator(node.residual)
     null_pad = (None,) * len(node.right.schema)
     is_outer = node.is_outer
-    left_width = len(scan.schema)
     single = len(left_keys) == 1
     #: The numpy probe requires same-kind dtypes on both sides; cross-kind
     #: comparisons (int64 keys probed with floats, say) go through the
     #: scalar path's exact conversion rules instead of a lossy array cast.
     vector_ok = build.kind is not None and single and residual is None
 
-    def make(spec: Any) -> Callable[[], List[Tuple]]:
-        def probe() -> List[Tuple]:
-            columns, n = source.read(spec)
-            columns, n = _apply_filter(predicate, columns, n)
-            columns = _apply_project(exprs, columns, n)
-            if n == 0:
-                return []
-            if vector_ok:
-                key_arr = _numpy_operand(left_keys[0], columns)
-                if (
-                    isinstance(key_arr, np.ndarray)
-                    and key_arr.dtype.kind == build.kind
-                ):
-                    out = _probe_vectorized(
-                        key_arr,
-                        columns,
-                        n,
-                        build,
-                        right_rows,
-                        is_outer,
-                        null_pad,
-                        left_width,
-                    )
-                    if out is not None:
-                        return out
-            columns = _to_lists(columns, left_width, n)
-            key_cols = [eval_batch(k, columns, n) for k in left_keys]
-            out = []
-            for i, left_row in enumerate(zip(*columns)):
-                if single:
-                    key = key_cols[0][i]
-                    has_null = key is None
-                else:
-                    key = tuple(col[i] for col in key_cols)
-                    has_null = any(v is None for v in key)
-                matched = False
-                if not has_null:
-                    for rid in build.lookup(key):
-                        combined = left_row + right_rows[rid]
-                        if residual is None or residual(combined) is True:
-                            matched = True
-                            out.append(combined)
-                if is_outer and not matched:
-                    out.append(left_row + null_pad)
-            return out
+    def probe(columns: Batch, n: int) -> List[Tuple]:
+        if n == 0:
+            return []
+        key_cols = [eval_batch(k, columns, n) for k in left_keys]
+        columns = [as_list(col) for col in columns]
+        if vector_ok:
+            key_arr = key_cols[0]
+            if isinstance(key_arr, np.ndarray) and key_arr.dtype.kind == build.kind:
+                out = _probe_vectorized(
+                    key_arr, columns, n, build, right_rows, is_outer, null_pad
+                )
+                if out is not None:
+                    return out
+        key_cols = [as_list(col) for col in key_cols]
+        out = []
+        for i, left_row in enumerate(zip(*columns)):
+            if single:
+                key = key_cols[0][i]
+                has_null = key is None
+            else:
+                key = tuple(col[i] for col in key_cols)
+                has_null = any(v is None for v in key)
+            matched = False
+            if not has_null:
+                for rid in build.lookup(key):
+                    combined = left_row + right_rows[rid]
+                    if residual is None or residual(combined) is True:
+                        matched = True
+                        out.append(combined)
+            if is_outer and not matched:
+                out.append(left_row + null_pad)
+        return out
 
-        return probe
-
-    tasks = [
-        _traced(make(spec), scan.table, i) for i, spec in enumerate(source.specs)
-    ]
     rows: List[Tuple] = []
-    for chunk in map_ordered(tasks, node.workers):
+    for chunk in map_ordered(_morsel_tasks(node.left, catalog, probe), node.workers):
         rows.extend(chunk)
     return rows
 
@@ -921,7 +651,7 @@ def join_rows(
 
 
 def _sort_key_arrays(
-    keys: Sequence[Tuple[BoundExpr, bool]], columns: Batch
+    keys: Sequence[Tuple[BoundExpr, bool]], columns: Batch, n: int
 ) -> Optional[List[np.ndarray]]:
     """Direction-adjusted numpy key arrays for one morsel, or None.
 
@@ -933,7 +663,7 @@ def _sort_key_arrays(
     """
     arrs: List[np.ndarray] = []
     for expr, asc in keys:
-        arr = _numpy_operand(expr, columns)
+        arr = eval_batch(expr, columns, n)
         if not isinstance(arr, np.ndarray):
             return None
         if arr.dtype.kind in ("i", "u"):
@@ -964,43 +694,25 @@ def sorted_rows(node: phys.PParallelSort, catalog: Catalog) -> List[Tuple]:
     """
     from repro.exec.volcano import SortComparable, sort_rows
 
-    scan = node.child
-    source = catalog.get_table(scan.table).morsels(scan.morsel_size)
-    predicate, exprs = scan.predicate, scan.exprs
     keys = node.keys
     limit = node.limit_hint
-    width = len(scan.schema)
+    width = len(node.child.schema)
     n_keys = len(keys)
 
-    def make(spec: Any) -> Callable[[], Tuple]:
-        def task() -> Tuple:
-            columns, n = source.read(spec)
-            columns, n = _apply_filter(predicate, columns, n)
-            columns = _apply_project(exprs, columns, n)
-            if n == 0:
-                return ("rows", [])
-            key_arrs = _sort_key_arrays(keys, columns)
-            if key_arrs is not None:
-                if limit is not None and limit < n:
-                    order = np.lexsort(key_arrs[::-1])[:limit]
-                    picked: Batch = []
-                    for col in columns:
-                        if isinstance(col, np.ndarray):
-                            picked.append(col[order])
-                        else:
-                            picked.append([col[i] for i in order.tolist()])
-                    columns = picked
-                    key_arrs = [arr[order] for arr in key_arrs]
-                    n = len(order)
-                return ("np", columns, n, key_arrs)
-            rows = list(zip(*_to_lists(columns, width, n)))
-            return ("rows", sort_rows(rows, keys, limit))
+    def task(columns: Batch, n: int) -> Tuple:
+        if n == 0:
+            return ("rows", [])
+        key_arrs = _sort_key_arrays(keys, columns, n)
+        if key_arrs is not None:
+            if limit is not None and limit < n:
+                order = np.lexsort(key_arrs[::-1])[:limit]
+                columns = take(columns, order.tolist())
+                key_arrs = [arr[order] for arr in key_arrs]
+            return ("np", columns, key_arrs)
+        rows = list(zip(*[as_list(col) for col in columns]))
+        return ("rows", sort_rows(rows, keys, limit))
 
-        return task
-
-    tasks = [
-        _traced(make(spec), scan.table, i) for i, spec in enumerate(source.specs)
-    ]
+    tasks = _morsel_tasks(node.child, catalog, task)
     results = [r for r in map_ordered(tasks, node.workers) if r[0] != "rows" or r[1]]
     if not results:
         return []
@@ -1008,11 +720,11 @@ def sorted_rows(node: phys.PParallelSort, catalog: Catalog) -> List[Tuple]:
     # Vector gather: every morsel produced key arrays of consistent kinds.
     if all(r[0] == "np" for r in results):
         kinds = {
-            tuple(arr.dtype.kind for arr in r[3]) for r in results
+            tuple(arr.dtype.kind for arr in r[2]) for r in results
         }
         if len(kinds) == 1:
             key_concat = [
-                np.concatenate([r[3][k] for r in results]) for k in range(n_keys)
+                np.concatenate([r[2][k] for r in results]) for k in range(n_keys)
             ]
             order = np.lexsort(key_concat[::-1])
             if limit is not None:
@@ -1025,9 +737,7 @@ def sorted_rows(node: phys.PParallelSort, catalog: Catalog) -> List[Tuple]:
                 else:
                     flat: List[Any] = []
                     for piece in pieces:
-                        flat.extend(
-                            piece.tolist() if isinstance(piece, np.ndarray) else piece
-                        )
+                        flat.extend(as_list(piece))
                     out_cols.append([flat[i] for i in order.tolist()])
             return list(zip(*out_cols)) if out_cols else []
 
@@ -1040,7 +750,7 @@ def sorted_rows(node: phys.PParallelSort, catalog: Catalog) -> List[Tuple]:
         if r[0] == "rows":
             runs.append(r[1])
         else:
-            rows = list(zip(*_to_lists(r[1], width, r[2])))
+            rows = list(zip(*[as_list(col) for col in r[1]]))
             runs.append(sort_rows(rows, keys, limit))
 
     def decorated(run: List[Tuple], run_idx: int):

@@ -17,7 +17,7 @@ from repro.core.errors import ExecutionError
 from repro.core.types import Row
 from repro.exec import parallel
 from repro.exec import physical as phys
-from repro.exec.vector_eval import Batch, eval_batch, normalize_mask
+from repro.exec.vector_eval import Batch, as_list, filter_batch, project_batch
 from repro.exec.volcano import ROW_OPERATORS, _index_scan, sort_rows
 
 DEFAULT_BATCH_SIZE = 1024
@@ -113,21 +113,16 @@ def _filter(
     plan: phys.PFilter, catalog: Catalog, batch_size: int
 ) -> Iterator[Tuple[Batch, int]]:
     for batch, n in _execute(plan.child, catalog, batch_size):
-        mask = normalize_mask(eval_batch(plan.predicate, batch, n))
-        selected = [i for i in range(n) if mask[i]]
-        if not selected:
-            continue
-        if len(selected) == n:
+        batch, n = filter_batch(plan.predicate, batch, n)
+        if n:
             yield batch, n
-            continue
-        yield [[col[i] for i in selected] for col in batch], len(selected)
 
 
 def _project(
     plan: phys.PProject, catalog: Catalog, batch_size: int
 ) -> Iterator[Tuple[Batch, int]]:
     for batch, n in _execute(plan.child, catalog, batch_size):
-        yield [list(eval_batch(e, batch, n)) for e in plan.exprs], n
+        yield [as_list(col) for col in project_batch(plan.exprs, batch, n)], n
 
 
 def _limit(

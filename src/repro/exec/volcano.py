@@ -22,8 +22,8 @@ from repro.core.errors import ExecutionError
 from repro.core.types import Row
 from repro.exec import parallel
 from repro.exec import physical as phys
-from repro.exec.compile import evaluator
-from repro.plan.expressions import AggSpec, BoundExpr
+from repro.exec.compile import _Accumulator, aggregate_output, evaluator
+from repro.plan.expressions import BoundExpr
 
 #: An engine's child-row executor: ``rows(child)`` yields the child's rows.
 ChildRows = Callable[[phys.PhysicalPlan], Iterable[Row]]
@@ -177,106 +177,8 @@ def _partitioned_hash_join(
 # -- aggregation --------------------------------------------------------------------
 
 
-class _Accumulator:
-    """State for one aggregate within one group.
-
-    ``add`` is an instance attribute: the per-function dispatch is resolved
-    once at construction into a specialized closure (the aggregate analogue
-    of compiling an expression).  DISTINCT aggregates use the branching
-    :meth:`_add_generic`.
-    """
-
-    __slots__ = ("spec", "arg_fn", "count", "total", "extreme", "distinct_values", "add")
-
-    def __init__(self, spec: AggSpec):
-        self.spec = spec
-        self.arg_fn = evaluator(spec.arg)
-        self.count = 0
-        self.total: Any = None
-        self.extreme: Any = None
-        self.distinct_values = set() if spec.distinct else None
-        self.add = self._make_add()
-
-    def _add_generic(self, row: Row) -> None:
-        spec = self.spec
-        value = self.arg_fn(row)
-        if value is None:
-            return
-        if self.distinct_values is not None:
-            if value in self.distinct_values:
-                return
-            self.distinct_values.add(value)
-        self.count += 1
-        if spec.func in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif spec.func == "MIN":
-            if self.extreme is None or value < self.extreme:
-                self.extreme = value
-        elif spec.func == "MAX":
-            if self.extreme is None or value > self.extreme:
-                self.extreme = value
-
-    def _make_add(self):
-        arg_fn = self.arg_fn
-        if arg_fn is None:  # COUNT(*)
-            def add_star(row: Row) -> None:
-                self.count += 1
-
-            return add_star
-        if self.distinct_values is not None:
-            return self._add_generic
-        func = self.spec.func
-        if func == "COUNT":
-            def add_count(row: Row) -> None:
-                if arg_fn(row) is not None:
-                    self.count += 1
-
-            return add_count
-        if func in ("SUM", "AVG"):
-            def add_sum(row: Row) -> None:
-                value = arg_fn(row)
-                if value is not None:
-                    self.count += 1
-                    total = self.total
-                    self.total = value if total is None else total + value
-
-            return add_sum
-        if func == "MIN":
-            def add_min(row: Row) -> None:
-                value = arg_fn(row)
-                if value is not None:
-                    self.count += 1
-                    extreme = self.extreme
-                    if extreme is None or value < extreme:
-                        self.extreme = value
-
-            return add_min
-        if func == "MAX":
-            def add_max(row: Row) -> None:
-                value = arg_fn(row)
-                if value is not None:
-                    self.count += 1
-                    extreme = self.extreme
-                    if extreme is None or value > extreme:
-                        self.extreme = value
-
-            return add_max
-        return self._add_generic
-
-    def result(self) -> Any:
-        func = self.spec.func
-        if func == "COUNT":
-            return self.count
-        if func == "SUM":
-            return self.total
-        if func == "AVG":
-            return self.total / self.count if self.count else None
-        return self.extreme
-
-
 def aggregate(plan: phys.PAggregate, rows: ChildRows) -> Iterator[Row]:
     groups: Dict[Tuple, List[_Accumulator]] = {}
-    order: List[Tuple] = []
     group_fns = [evaluator(e) for e in plan.group_exprs]
     for row in rows(plan.child):
         key = tuple(fn(row) for fn in group_fns)
@@ -284,15 +186,9 @@ def aggregate(plan: phys.PAggregate, rows: ChildRows) -> Iterator[Row]:
         if accs is None:
             accs = [_Accumulator(spec) for spec in plan.aggregates]
             groups[key] = accs
-            order.append(key)
         for acc in accs:
             acc.add(row)
-    if not groups and not plan.group_exprs:
-        # Global aggregate over an empty input: one row of identity values.
-        yield tuple(_Accumulator(spec).result() for spec in plan.aggregates)
-        return
-    for key in order:
-        yield key + tuple(acc.result() for acc in groups[key])
+    yield from aggregate_output(groups, plan.aggregates, bool(plan.group_exprs))
 
 
 # -- set operations ----------------------------------------------------------------

@@ -462,6 +462,10 @@ class TestEngineParity:
         "SELECT DISTINCT city FROM people ORDER BY city",
         "SELECT id FROM people ORDER BY age DESC LIMIT 3",
         "SELECT COUNT(*) FROM people WHERE name LIKE '%a%' OR age IS NULL",
+        # int64 numpy kernels would wrap or round here; answers are exact.
+        "SELECT COUNT(*) FROM people WHERE id * 4611686018427387904 > 0",
+        "SELECT id * 9223372036854775807 FROM people WHERE id = 3",
+        "SELECT COUNT(*) FROM people WHERE id + 9007199254740992 > 9007199254740992.0",
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.types import Column, DataType, Schema
+from repro.exec.compile import _Accumulator
 from repro.exec.vector_eval import eval_batch
-from repro.exec.volcano import SortComparable, _Accumulator, sort_rows
+from repro.exec.volcano import SortComparable, sort_rows
 from repro.plan.binder import Binder
 from repro.plan.expressions import AggSpec, BoundColumn, BoundLiteral
 from repro.sql.parser import parse_expression
@@ -116,6 +117,50 @@ class TestAccumulators:
 
     def test_distinct_count(self):
         assert self._feed(AggSpec("COUNT", self.arg(), distinct=True), [3, 3, 4, None]) == 2
+
+    VALUES = [5, None, 3, 5, -2, None, 7, 3, 11, -2, 0, 5]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "values", [VALUES, [None, None], []], ids=["mixed", "all-null", "empty"]
+    )
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("func", ["COUNT", "SUM", "AVG", "MIN", "MAX"])
+    def test_chunked_merge_equals_single_pass(self, func, distinct, values, k):
+        spec = AggSpec(func, self.arg(), distinct=distinct)
+        assert self._merged(spec, values, k) == self._feed(spec, values)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("values", [VALUES, []], ids=["mixed", "empty"])
+    def test_count_star_chunked_merge(self, values, k):
+        spec = AggSpec("COUNT", None)
+        assert self._merged(spec, values, k) == self._feed(spec, values)
+
+    @pytest.mark.parametrize("func", ["SUM", "AVG", "MIN", "MAX"])
+    def test_distinct_floats_merge_bit_identical(self, func):
+        import random
+
+        rng = random.Random(3)
+        values = [rng.random() * 10.0 ** rng.randint(-9, 17) for _ in range(300)]
+        values += values[::7]  # duplicates that straddle chunks
+        spec = AggSpec(func, BoundColumn(0, DataType.FLOAT, "v"), distinct=True)
+        assert self._merged(spec, values, 4) == self._feed(spec, values)
+
+    def _merged(self, spec, values, k):
+        """Accumulate ``k`` ordered chunks separately, then merge them in order."""
+        merged = None
+        for c in range(k):
+            acc = _Accumulator(spec)
+            for v in values[c * len(values) // k : (c + 1) * len(values) // k]:
+                if spec.arg is None:
+                    acc.add((v,))
+                else:
+                    acc.add_value(v)
+            if merged is None:
+                merged = acc
+            else:
+                merged.merge(acc)
+        return merged.result()
 
 
 class TestBatchEvaluation:

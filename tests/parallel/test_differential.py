@@ -15,6 +15,7 @@ worker pool's schedule trace is clean.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -169,6 +170,68 @@ class TestOltpMixDifferential:
         assert len(serial_snaps) == len(parallel_snaps)
         for i, (expected, got) in enumerate(zip(serial_snaps, parallel_snaps)):
             assert_rows_match(expected, got, f"oltp/{engine}/w{workers}/snapshot {i}")
+
+
+# -- int64 overflow and DISTINCT float order -------------------------------
+
+#: Inputs on which an int64 numpy kernel would wrap, reject a literal beyond
+#: int64 or round an int to float64; the answer must be the serial volcano
+#: engine's exact Python one.
+OVERFLOW_QUERIES = [
+    "SELECT COUNT(*) FROM t WHERE a * 4611686018427387904 > 0",
+    "SELECT a * 9223372036854775807 FROM t WHERE a = 3",
+    "SELECT SUM(a * 4611686018427387904) FROM t",
+    "SELECT MAX(a * 4611686018427387904) FROM t",
+    "SELECT a * 100000000000000000000 FROM t WHERE a = 2",
+    # int64 vs float: 2^53 + 1 must not round to 2^53 before comparing.
+    "SELECT COUNT(*) FROM t WHERE a + 9007199254740992 > 9007199254740992.0",
+]
+
+DISTINCT_FLOAT_QUERIES = [
+    "SELECT SUM(DISTINCT v), AVG(DISTINCT v) FROM f",
+    "SELECT g, SUM(DISTINCT v), AVG(DISTINCT v) FROM f GROUP BY g ORDER BY g",
+]
+
+
+def edge_db(engine: str, layout: str, workers=None) -> Database:
+    options = None if workers is None else parallel_options(workers)
+    db = Database(engine=engine, default_layout=layout, optimizer_options=options)
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.insert_rows("t", [(i,) for i in range(1, 3001)])
+    db.execute("CREATE TABLE f (g INTEGER, v FLOAT)")
+    rng = random.Random(SEED)
+    db.insert_rows(
+        "f",
+        [(i % 5, rng.random() * 10.0 ** rng.randint(-9, 17)) for i in range(4000)],
+    )
+    return db
+
+
+@pytest.fixture(scope="module")
+def edge_reference():
+    return edge_db("volcano", "row")
+
+
+class TestEdgeDifferential:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("layout", ("row", "column"))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_int64_overflow_matches_serial(self, edge_reference, engine, layout, workers):
+        db = edge_db(engine, layout, workers)
+        for sql in OVERFLOW_QUERIES:
+            assert db.execute(sql).rows == edge_reference.execute(sql).rows, sql
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("layout", ("row", "column"))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_distinct_float_sums_are_bit_identical(
+        self, edge_reference, engine, layout, workers
+    ):
+        # Exact ==, not assert_rows_match: serial and parallel fold the
+        # distinct values in the same first-seen order.
+        db = edge_db(engine, layout, workers)
+        for sql in DISTINCT_FLOAT_QUERIES:
+            assert db.execute(sql).rows == edge_reference.execute(sql).rows, sql
 
 
 # -- sanitizer -------------------------------------------------------------
